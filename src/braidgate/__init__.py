@@ -36,7 +36,6 @@ from .entangler import (
     phase_gate,
 )
 from .errors import InputError, ResourceLimitError
-from .kernels import active_backend
 from .segre import (
     QuadricGenerator,
     SeparabilityVerdict,
@@ -58,9 +57,9 @@ from .tensorops import (
     lex_index,
     mat_mul,
     multi_index,
+    random_phases,
     uniform_product_state,
 )
-from .cli import random_phases
 
 __version__ = "0.1.0"
 
@@ -77,7 +76,6 @@ __all__ = [
     "SeparabilityVerdict",
     "StateVector",
     "YbeReport",
-    "active_backend",
     "adjoint",
     "apply_entangler",
     "apply_matrix",

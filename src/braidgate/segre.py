@@ -7,8 +7,8 @@ exactly when every degree-2 generator
     g = a[k] * a[l] - a[k with l_j at slot j] * a[l with k_j at slot j]
 
 vanishes. The generators are the 2x2 minors of the mode flattenings; this
-module enumerates them once per shape (deduplicating minors that several
-modes share), evaluates them through the kernel backend, and cross-checks
+module builds flat index arrays for them once per shape (deduplicating
+minors that several modes share), scans them with numpy, and cross-checks
 verdicts with an independent rank-1 oracle based on singular values of the
 flattenings.
 """
@@ -16,18 +16,16 @@ flattenings.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .kernels import max_violation_scan
+from .errors import InputError, ResourceLimitError
 from .tensorops import (
     CoefficientTensor,
     _as_dims,
     flatten_mode,
-    lex_index,
     validate_multi_index,
 )
 
@@ -37,6 +35,16 @@ MARGINAL_LOW = 1e-12
 MARGINAL_HIGH = 1e-6
 
 DEFAULT_SEPARABILITY_TOL = 1e-9
+
+# Shapes with more generators than this are refused: at the cap the index
+# table alone takes 32 MB. (3,)^6 has 518,319 generators; (2,)^11 has
+# 5,733,376.
+GENERATOR_CAP = 2**20
+
+# Generators per step of the violation scan. Its temporaries then stay near
+# 64 KB each, which the allocator reuses from call to call instead of
+# returning to the OS and faulting in again.
+SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -97,59 +105,90 @@ class SeparabilityVerdict:
         return MARGINAL_LOW < self.max_violation < MARGINAL_HIGH
 
 
-@functools.lru_cache(maxsize=64)
-def _generator_table(dims: tuple[int, ...]):
-    """Canonical generators for ``dims`` plus flat 0-based index arrays.
+def _generator_count(dims: tuple[int, ...]) -> int:
+    """Number of canonical generators for ``dims``, in closed form.
 
-    Enumeration order: slot ascending, then slot-digit pair, then the lex
-    pair of remaining digits. Generators that repeat an earlier one as a
-    polynomial (identical product pairs, which happens whenever a minor
-    involves only two varying slots) are dropped, keeping the first
-    occurrence.
+    Slot ``j`` pairs ``C(d_j, 2)`` digit pairs with ``C(R_j, 2)`` pairs of
+    rest multi-indices (``R_j = N / d_j``), less the rest pairs that differ
+    in one digit only, at an earlier slot ``p``: there are
+    ``(R_j / d_p) * C(d_p, 2)`` of those, and each repeats a slot-``p``
+    generator.
     """
-    m = len(dims)
-    gens: list[QuadricGenerator] = []
-    seen: set = set()
-    flat_idx: list[tuple[int, int, int, int]] = []
-    for j in range(m):
-        rest_dims = dims[:j] + dims[j + 1:]
-        rests = list(itertools.product(*[range(1, d + 1) for d in rest_dims]))
-        for a, b in itertools.combinations(range(1, dims[j] + 1), 2):
-            for u, v in itertools.combinations(rests, 2):
-                k = u[:j] + (a,) + u[j:]
-                l = v[:j] + (b,) + v[j:]
-                kp = u[:j] + (b,) + u[j:]
-                lp = v[:j] + (a,) + v[j:]
-                key = (k, l, *sorted((kp, lp)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                gens.append(QuadricGenerator(j + 1, k, l, dims))
-                flat_idx.append(
-                    (
-                        lex_index(k, dims) - 1,
-                        lex_index(l, dims) - 1,
-                        lex_index(kp, dims) - 1,
-                        lex_index(lp, dims) - 1,
-                    )
-                )
-    arrays = tuple(
-        np.ascontiguousarray(col, dtype=np.int64) for col in zip(*flat_idx)
-    )
+    n = math.prod(dims)
+    total = 0
+    for j, d in enumerate(dims):
+        r = n // d
+        repeats = sum(r // dp * math.comb(dp, 2) for dp in dims[:j])
+        total += math.comb(d, 2) * (math.comb(r, 2) - repeats)
+    return total
+
+
+@functools.lru_cache(maxsize=64)
+def _generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Flat 0-based index arrays ``(k, l, kp, lp)`` of the canonical generators.
+
+    Generator ``i`` is ``e[k[i]] * e[l[i]] - e[kp[i]] * e[lp[i]]``.
+    Enumeration order: slot ascending, then slot-digit pair, then the lex
+    pair of remaining digits. A pair of remaining digits that differ in one
+    digit only, at an earlier slot, is dropped: its generator repeats one of
+    that earlier slot (a minor with two varying slots is a minor of both).
+    Refuses shapes beyond ``GENERATOR_CAP`` before allocating.
+    """
+    count = _generator_count(dims)
+    if count > GENERATOR_CAP:
+        raise ResourceLimitError(
+            f"shape {dims} has {count} quadric generators, beyond the cap of {GENERATOR_CAP}"
+        )
+    n = math.prod(dims)
+    flat = np.arange(n).reshape(dims)
+    cols: list[list[np.ndarray]] = [[], [], [], []]
+    for j, d in enumerate(dims):
+        if d < 2 or d == n:  # no digit pairs, or no pairs of remaining digits
+            continue
+        rows = np.moveaxis(flat, j, 0).reshape(d, -1)
+        a, b = (x[:, None] for x in np.triu_indices(d, 1))
+        u, v = np.triu_indices(rows.shape[1], 1)
+        if j:
+            rest = np.unravel_index(np.arange(rows.shape[1]), dims[:j] + dims[j + 1:])
+            differ = [digit[u] != digit[v] for digit in rest]
+            repeats = (sum(differ) == 1) & (sum(differ[:j]) == 1)
+            u, v = u[~repeats], v[~repeats]
+        for col, idx in zip(cols, (rows[a, u], rows[b, v], rows[b, u], rows[a, v])):
+            col.append(idx.ravel())
+    arrays = tuple(np.concatenate(col) if col else np.empty(0, dtype=np.intp) for col in cols)
     for arr in arrays:
         arr.setflags(write=False)
-    return tuple(gens), arrays
+    return arrays
+
+
+def _generator_at(dims: tuple[int, ...], i: int) -> QuadricGenerator:
+    """Generator ``i`` of :func:`_generator_table`; its slot is the one digit
+    where ``k`` and ``kp`` differ.
+
+    The table holds canonical generators only, so the constructor's checks
+    are skipped: they would cost more than the rest of a small verdict.
+    """
+    ka, la, kp, _ = _generator_table(dims)
+    k, l, kpd = zip(*(d.tolist() for d in np.unravel_index([ka[i], la[i], kp[i]], dims)))
+    slot = next(p for p, (x, y) in enumerate(zip(k, kpd), start=1) if x != y)
+    gen = object.__new__(QuadricGenerator)
+    fields = (slot, tuple(x + 1 for x in k), tuple(x + 1 for x in l), dims)
+    for name, value in zip(("slot", "k", "l", "dims"), fields):
+        object.__setattr__(gen, name, value)
+    return gen
 
 
 def quadric_generators(dims) -> tuple[QuadricGenerator, ...]:
     """All canonical separability generators for the given shape.
 
-    Needs at least two slots; a single subsystem has no quadrics.
+    Needs at least two slots; a single subsystem has no quadrics. Shapes
+    with more than ``GENERATOR_CAP`` generators raise
+    :class:`ResourceLimitError`.
     """
     dims = _as_dims(dims)
     if len(dims) < 2:
         raise InputError("separability generators need at least 2 slots")
-    return _generator_table(dims)[0]
+    return tuple(_generator_at(dims, i) for i in range(_generator_table(dims)[0].size))
 
 
 def evaluate_quadric(gen: QuadricGenerator, tensor: CoefficientTensor) -> complex:
@@ -200,16 +239,26 @@ def is_fully_separable(
     ``max_violation`` and witness are bit-identical too (barring overflow or
     underflow), however the scan rounds. Separable means every generator
     magnitude is at most ``tol``.
+
+    The scan runs over ``SCAN_CHUNK`` generators at a time and keeps the
+    first strict maximum, so the witness is the first generator attaining
+    ``max_violation``. A shape with at most one slot of size above 1 has no
+    generators; its tensors are separable with ``max_violation`` 0.0.
     """
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    entries = _nonzero_normalized(tensor)
-    if tensor.n_slots < 2:
-        return SeparabilityVerdict(True, 0.0, None, tol)
-    gens, (ka, la, kp, lp) = _generator_table(tensor.dims)
-    idx, worst = max_violation_scan(entries, ka, la, kp, lp)
-    separable = worst <= tol
-    return SeparabilityVerdict(separable, worst, None if separable else gens[idx], tol)
+    e = _nonzero_normalized(tensor)
+    ka, la, kp, lp = _generator_table(tensor.dims)
+    best, worst = 0, 0.0
+    for start in range(0, ka.size, SCAN_CHUNK):
+        s = slice(start, start + SCAN_CHUNK)
+        res = np.abs(e[ka[s]] * e[la[s]] - e[kp[s]] * e[lp[s]])
+        i = int(np.argmax(res))
+        if res[i] > worst:
+            best, worst = start + i, float(res[i])
+    if worst <= tol:
+        return SeparabilityVerdict(True, worst, None, tol)
+    return SeparabilityVerdict(False, worst, _generator_at(tensor.dims, best), tol)
 
 
 def rank1_oracle(tensor: CoefficientTensor, tol: float = DEFAULT_SEPARABILITY_TOL) -> bool:

@@ -131,6 +131,22 @@ class CoefficientTensor:
         return complex(self.entries[lex_index(digits, self.dims) - 1])
 
 
+def random_phases(dims, seed: int) -> CoefficientTensor:
+    """Unimodular tensor exp(i*theta) with seeded, reproducible angles.
+
+    All randomness flows through the explicit seed: the same seed yields an
+    identical tensor on every run (fixed generator algorithm).
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise InputError("seed must be a non-negative integer")
+    rng = np.random.default_rng(seed)
+    tensor_dims = tuple(int(d) for d in dims)
+    size = math.prod(tensor_dims) if tensor_dims else 0
+    theta = rng.uniform(0.0, 2.0 * np.pi, size)
+    return CoefficientTensor(tensor_dims, np.exp(1j * theta))
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure-state amplitudes over a tensor-product basis, flat in lex order."""

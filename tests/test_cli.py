@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: JSON schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import braidgate
 from braidgate import random_phases
 from braidgate.cli import main
 from braidgate.serialize import matrix_to_payload, tensor_from_payload
@@ -288,3 +293,44 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("dims", [[1, 3], [3, 1]])
+def test_separability_size_one_slot(tmp_path, capsys, dims):
+    path = write_json(tmp_path, "thin.json", {"dims": dims, "entries": [[1, 0]] * 3})
+    code, out, _ = run_cli(capsys, "separability", "--input", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["separable"] is True
+    assert payload["max_violation"] == 0.0
+    assert payload["witness"] is None
+    assert payload["oracle_agrees"] is True
+
+
+def test_generators_refuses_oversized_shape(capsys):
+    code, out, err = run_cli(capsys, "generators", "--dims", ",".join(["2"] * 11))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def run_python(*args):
+    src = str(Path(braidgate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_module_entry_point_is_quiet():
+    proc = run_python("-m", "braidgate.cli", "random", "--dims", "2,2", "--seed", "1")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["dims"] == [2, 2]
+
+
+def test_library_does_not_import_cli():
+    proc = run_python("-c", "import sys, braidgate; print('braidgate.cli' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

@@ -1,21 +1,33 @@
 """Quadric generators, separability verdicts, and the rank-1 oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidgate import (
     CoefficientTensor,
     InputError,
     QuadricGenerator,
+    ResourceLimitError,
+    SeparabilityVerdict,
     evaluate_quadric,
     is_fully_separable,
     quadric_generators,
     rank1_oracle,
     segre_map,
 )
-from braidgate.segre import _nonzero_normalized
+from braidgate.segre import (
+    DEFAULT_SEPARABILITY_TOL,
+    GENERATOR_CAP,
+    SCAN_CHUNK,
+    _generator_count,
+    _generator_table,
+    _nonzero_normalized,
+)
 
 BELL = CoefficientTensor((2, 2), [1, 0, 0, 1])
 
@@ -272,3 +284,146 @@ def test_local_relabeling_invariance():
         moved = is_fully_separable(relabeled)
         assert moved.separable == base.separable
         assert moved.max_violation == base.max_violation
+
+
+# --- enumeration order --------------------------------------------------
+#
+# The canonical order written as nested loops: slot, then slot-digit pair,
+# then lex pair of remaining digits, keeping the first copy of each
+# polynomial. Verdict witnesses and the CLI listing follow this order.
+
+
+def itertools_generators(dims):
+    gens, seen = [], set()
+    for j in range(len(dims)):
+        rests = list(itertools.product(*[range(1, d + 1) for d in dims[:j] + dims[j + 1:]]))
+        for a, b in itertools.combinations(range(1, dims[j] + 1), 2):
+            for u, v in itertools.combinations(rests, 2):
+                k, l = u[:j] + (a,) + u[j:], v[:j] + (b,) + v[j:]
+                kp, lp = u[:j] + (b,) + u[j:], v[:j] + (a,) + v[j:]
+                key = (k, l, *sorted((kp, lp)))
+                if key not in seen:
+                    seen.add(key)
+                    gens.append(QuadricGenerator(j + 1, k, l, dims))
+    return tuple(gens)
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 3, 4), (4, 3, 2), (3, 1, 2), (2, 5, 3), (2,) * 6, (1, 3), (3, 3)]
+)
+def test_generator_order_matches_nested_loops(dims):
+    assert quadric_generators(dims) == itertools_generators(dims)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2, 2), (3, 3), (2, 3), (1, 3), (3, 1), (1, 1), (2, 2, 2), (2, 3, 4), (4, 3, 2),
+     (3, 1, 2), (2, 1, 3, 2), (5, 5, 5), (3, 3, 3, 3), (2,) * 6, (3,) * 5, (2,) * 8],
+)
+def test_generator_count_closed_form(dims):
+    assert _generator_count(dims) == len(_generator_table(dims)[0])
+
+
+def test_oversized_shape_refused_before_allocating():
+    dims = (2,) * 11
+    assert _generator_count(dims) == 5_733_376 > GENERATOR_CAP
+    tensor = CoefficientTensor(dims, np.ones(2**11))
+    cached = _generator_table.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            quadric_generators(dims)
+        with pytest.raises(ResourceLimitError):
+            is_fully_separable(tensor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _generator_table.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1), (1, 3000), (3000,)])
+def test_size_one_slot_shapes_are_separable(dims):
+    # one varying slot: no generators, and no pair lists are built for it
+    t = CoefficientTensor.from_array(np.ones(dims))
+    tracemalloc.start()
+    try:
+        verdict = is_fully_separable(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == SeparabilityVerdict(True, 0.0, None, DEFAULT_SEPARABILITY_TOL)
+    assert peak < 2**20
+    assert rank1_oracle(t)
+    if len(dims) > 1:
+        assert quadric_generators(dims) == ()
+
+
+def test_verdict_tie_breaks_to_first_maximum():
+    ones = is_fully_separable(CoefficientTensor((2, 2, 2), np.ones(8)))
+    assert ones.separable and ones.max_violation == 0.0 and ones.witness is None
+    # GHZ residuals are exactly 0 or 1; on (5, 5, 5) the maximum recurs in
+    # every scan chunk
+    for dims in [(2, 2, 2), (5, 5, 5)]:
+        ghz = np.zeros(dims)
+        for i in range(min(dims)):
+            ghz[(i,) * len(dims)] = 1.0
+        t = CoefficientTensor.from_array(ghz)
+        verdict = is_fully_separable(t)
+        values = [abs(evaluate_quadric(g, t)) for g in quadric_generators(dims)]
+        assert verdict.max_violation == max(values) == 1.0
+        assert verdict.witness == quadric_generators(dims)[values.index(1.0)]
+
+
+def test_chunked_scan_matches_whole_table_scan():
+    # one vectorized pass over the whole table is the reference: chunking
+    # must not change a bit of the maximum or move the first argmax
+    dims = (5, 5, 5)
+    ka, la, kp, lp = _generator_table(dims)
+    assert ka.size > SCAN_CHUNK
+    gens = quadric_generators(dims)
+    rng = np.random.default_rng(25)
+    late = 0
+    for _ in range(10):
+        t = random_tensor(dims, rng)
+        e = _nonzero_normalized(t)
+        res = np.abs(e[ka] * e[la] - e[kp] * e[lp])
+        idx = int(np.argmax(res))
+        late += idx >= SCAN_CHUNK
+        verdict = is_fully_separable(t)
+        assert verdict.max_violation == res[idx]
+        assert verdict.witness == gens[idx]
+    assert late
+
+
+@st.composite
+def seeded_tensors(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "product", "near-1e-3", "near-1e-8"]))
+
+    def gauss(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if kind == "gaussian":
+        return CoefficientTensor(dims, gauss(dims))
+    product = segre_map([gauss(d) for d in dims]).as_array()
+    if kind != "product":
+        product = product + float(kind[5:]) * gauss(dims)
+    return CoefficientTensor.from_array(product)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeded_tensors())
+def test_verdict_matches_direct_evaluation(t):
+    # the scan's complex products may be fused (FMA) and evaluate_quadric's
+    # are not, so values agree to a few ulps of the normalized scale 1
+    ulps = 8 * np.finfo(float).eps
+    verdict = is_fully_separable(t)
+    normalized = CoefficientTensor(t.dims, _nonzero_normalized(t))
+    values = [abs(evaluate_quadric(g, normalized)) for g in quadric_generators(t.dims)]
+    assert abs(verdict.max_violation - max(values, default=0.0)) <= ulps
+    if verdict.witness is not None:
+        assert abs(abs(evaluate_quadric(verdict.witness, normalized)) - verdict.max_violation) <= ulps
+    if not verdict.marginal:
+        assert verdict.separable == rank1_oracle(t)
