@@ -31,7 +31,7 @@ from .segre import (
     SeparabilityVerdict,
     is_fully_separable,
 )
-from .tensorops import CoefficientTensor, StateVector, is_unitary, uniform_product_state
+from .tensorops import CoefficientTensor, StateVector, uniform_product_state
 
 
 class Convention(str, enum.Enum):
@@ -205,19 +205,20 @@ def certify_entangler(
 ) -> EntanglerReport:
     """Certify unitarity and entangling power of the constructed gate.
 
-    Unitarity holds exactly when every coefficient is unimodular (within
-    tolerance). The entangling verdict tests the output state; the
-    coefficient verdict tests the input tensor directly. Under the
-    ``theorem`` convention the two verdicts coincide for every input; under
-    ``paper-matrix`` they can diverge.
+    A monomial matrix is unitary exactly when every value is unimodular, so
+    the unitarity residual is ``max | |c|^2 - 1 |`` over the gate's values,
+    computed without building the dense matrix. The entangling verdict tests
+    the output state; the coefficient verdict tests the input tensor
+    directly. Under the ``theorem`` convention the two verdicts coincide for
+    every input; under ``paper-matrix`` they can diverge.
     """
     convention = as_convention(convention)
-    gate = construct_entangler(tensor, convention)
-    unitary, residual = is_unitary(gate.dense(), unitary_tol)
+    values = construct_entangler(tensor, convention).value_of_row
+    residual = float(np.max(np.abs(values.real**2 + values.imag**2 - 1.0)))
     out = apply_entangler(tensor, convention)
     return EntanglerReport(
         convention=convention,
-        unitary=unitary,
+        unitary=residual <= unitary_tol,
         unitarity_residual=residual,
         entangling=is_fully_separable(out.to_tensor(), separability_tol),
         coefficient_verdict=is_fully_separable(tensor, separability_tol),

@@ -1,5 +1,8 @@
 """Yang-Baxter residuals, the strand representation, and braid words."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,3 +215,112 @@ def test_algebraic_form_of_delta_solution_is_diagonal_and_passes():
 def test_algebraic_checker_on_plain_swap():
     report = check_algebraic_yang_baxter(swap_gate(2), 2)
     assert report.passed and report.residual == 0.0
+
+
+# --- the relation and algebraic checks against the dense products they replace
+
+
+EPS = np.finfo(float).eps
+RELATION_SIZES = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3)]
+
+
+def gaussian_matrix(n, rng):
+    return (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
+
+
+def dense_relation_residuals(r, dim, n_strands):
+    """Each Artin relation multiplied out in the strand representation."""
+    reps = {i: braid_generator_rep(r, dim, n_strands, i) for i in range(1, n_strands)}
+    out = []
+    for i in range(1, n_strands):
+        for j in range(i + 2, n_strands):
+            residual = np.max(np.abs(reps[i] @ reps[j] - reps[j] @ reps[i]))
+            out.append(("far_commutation", i, j, residual))
+    for i in range(1, n_strands - 1):
+        lhs = reps[i] @ reps[i + 1] @ reps[i]
+        rhs = reps[i + 1] @ reps[i] @ reps[i + 1]
+        out.append(("braid", i, None, np.max(np.abs(lhs - rhs))))
+    return out
+
+
+def dense_algebraic_residual(x, dim):
+    """X12 X13 X23 - X23 X13 X12 multiplied out on three factors."""
+    eye = np.eye(dim)
+    x12 = np.kron(x, eye)
+    x23 = np.kron(eye, x)
+    s23 = np.kron(eye, swap_gate(dim))
+    x13 = s23 @ x12 @ s23
+    return np.max(np.abs(x12 @ x13 @ x23 - x23 @ x13 @ x12))
+
+
+@pytest.mark.parametrize("dim,n_strands", RELATION_SIZES)
+def test_relation_residuals_match_dense_products(dim, n_strands):
+    rng = np.random.default_rng([dim, n_strands])
+    for seed in range(3):
+        phase_swap = r_from_phase_matrix(phase_matrix(dim, 200 + seed))
+        for r in (phase_swap, gaussian_matrix(dim * dim, rng)):
+            report = check_braid_relations(r, dim, n_strands)
+            dense = dense_relation_residuals(r, dim, n_strands)
+            assert [(c.kind, c.i, c.j) for c in report.checks] == [d[:3] for d in dense]
+            for c, (kind, _, _, ref) in zip(report.checks, dense):
+                if kind == "far_commutation":
+                    assert c.residual == 0.0 and ref <= 1e-15
+                elif ref <= 1e-12:
+                    # a phase swap: both residuals are rounding noise
+                    assert c.residual <= 1e-15 and ref <= 1e-15
+                else:
+                    assert abs(c.residual - ref) <= 4 * EPS * ref
+                assert c.passed == (ref <= report.tolerance)
+
+
+def test_algebraic_residual_matches_dense_products():
+    rng = np.random.default_rng(77)
+    for dim in (2, 3, 4, 5):
+        for _ in range(10):
+            x = gaussian_matrix(dim * dim, rng)
+            ref = dense_algebraic_residual(x, dim)
+            report = check_algebraic_yang_baxter(x, dim)
+            assert abs(report.residual - ref) <= 4 * EPS * ref
+            assert not report.passed
+
+
+def test_algebraic_residual_of_braided_form_is_bitwise_the_ybe_residual():
+    rng = np.random.default_rng(78)
+    for k in range(50):
+        dim = 2 + k % 3
+        if k % 2:
+            r = r_from_phase_matrix(phase_matrix(dim, 300 + k))
+        else:
+            r = gaussian_matrix(dim * dim, rng)
+        ybe = check_yang_baxter(r, dim)
+        algebraic = check_algebraic_yang_baxter(to_algebraic(r, dim), dim)
+        assert algebraic.residual == ybe.residual
+        assert algebraic.passed == ybe.passed
+
+
+def test_to_algebraic_is_the_swap_product():
+    rng = np.random.default_rng(79)
+    for dim in (1, 2, 3, 4):
+        r = gaussian_matrix(dim * dim, rng)
+        assert np.array_equal(to_algebraic(r, dim), swap_gate(dim) @ r)
+
+
+def test_far_commutation_is_exactly_zero_for_phase_swaps():
+    for seed in range(20):
+        report = check_braid_relations(r_from_phase_matrix(phase_matrix(3, seed)), 3, 5)
+        far = [c.residual for c in report.checks if c.kind == "far_commutation"]
+        assert len(far) == 3 and all(x == 0.0 for x in far)
+
+
+def test_relations_at_the_representation_cap_stay_small():
+    r = r_from_phase_matrix(phase_matrix(4, 4))
+    tracemalloc.start()
+    try:
+        report = check_braid_relations(r, 4, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.checks) == 10 and report.passed
+    assert peak < 8 * 2**20
+    with pytest.raises(ResourceLimitError):
+        check_braid_relations(swap_gate(2), 2, 13)

@@ -250,6 +250,15 @@ def test_braid_command_fails_for_non_ybe_matrix(tmp_path, capsys):
     assert any(not c["passed"] for c in payload["relations"] if c["kind"] == "braid")
 
 
+def test_braid_command_refuses_oversized_representation(capsys):
+    code, out, err = run_cli(
+        capsys, "braid", "--phases", "--dims", "2,2", "--seed", "1", "--strands", "13"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(

@@ -202,6 +202,27 @@ def test_unitarity_iff_unimodular_coefficients():
         assert ok == report.unitary
 
 
+def test_unitarity_residual_is_the_unimodularity_defect():
+    rng = np.random.default_rng(38)
+    for dims in [(2, 2), (3, 3), (2, 2, 2), (4, 4)]:
+        n = math.prod(dims)
+        for _ in range(5):
+            phases = np.exp(2j * np.pi * rng.uniform(size=n))
+            for entries in (
+                phases,
+                rng.normal(size=n) + 1j * rng.normal(size=n),
+                phases * (1 + 1e-13 * rng.normal(size=n)),
+                phases * (1 + 1e-11 * rng.normal(size=n)),
+            ):
+                t = CoefficientTensor(dims, entries)
+                defect = max(abs(c.real * c.real + c.imag * c.imag - 1.0) for c in entries)
+                for conv in Convention:
+                    report = certify_entangler(t, conv)
+                    assert report.unitarity_residual == defect
+                    ok, _ = is_unitary(construct_entangler(t, conv).dense(), 1e-12)
+                    assert report.unitary == ok
+
+
 def test_convention_divergence_witness():
     # rank-1 input whose paper-matrix image is entangled
     t = segre_map([(1, 1, 2), (1, 1, 1)])
