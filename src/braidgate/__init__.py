@@ -48,14 +48,11 @@ from .segre import (
 from .tensorops import (
     CoefficientTensor,
     StateVector,
-    adjoint,
-    apply_matrix,
     digit_complement,
     flatten_mode,
     is_unitary,
     kron,
     lex_index,
-    mat_mul,
     multi_index,
     random_phases,
     uniform_product_state,
@@ -76,9 +73,7 @@ __all__ = [
     "SeparabilityVerdict",
     "StateVector",
     "YbeReport",
-    "adjoint",
     "apply_entangler",
-    "apply_matrix",
     "braid_generator_rep",
     "certify_entangler",
     "check_algebraic_yang_baxter",
@@ -93,7 +88,6 @@ __all__ = [
     "is_unitary",
     "kron",
     "lex_index",
-    "mat_mul",
     "multi_index",
     "pattern_permutation",
     "phase_gate",

@@ -81,11 +81,7 @@ def swap_gate(dim: int) -> np.ndarray:
     dim = int(dim)
     if dim < 1:
         raise InputError("swap gate needs dim >= 1")
-    s = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for a in range(dim):
-        for b in range(dim):
-            s[b * dim + a, a * dim + b] = 1.0
-    return s
+    return r_from_phase_matrix(np.ones((dim, dim)))
 
 
 def r_from_phase_matrix(phases) -> np.ndarray:

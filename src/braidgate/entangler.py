@@ -8,19 +8,23 @@ conventions exist for the middle antidiagonal and both are supported:
 * ``paper-matrix``: row r holds the coefficient with linear index n+1-r,
   i.e. the antidiagonal lists the coefficients in reverse lex order;
 * ``theorem``: row r holds coefficient r, so R applied to the uniform
-  product state returns the coefficient vector bit-for-bit, and the gate is
-  entangling exactly when the coefficient tensor is entangled.
+  product state returns the coefficient vector bit-for-bit (signs of zero
+  included), and the gate is entangling exactly when the coefficient tensor
+  is entangled.
 
 The two agree on the pattern and on the corner values but order the middle
 coefficients oppositely, so they genuinely differ for N >= 3: a rank-1
 coefficient tensor can have an entangled ``paper-matrix`` image (see
 :func:`certify_entangler`).
+
+R's row values are at once the output state, the phase gate's diagonal and
+the tensor whose separability decides entangling: each question builds R
+once and reads its answer from them.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,7 @@ from .segre import (
     SeparabilityVerdict,
     is_fully_separable,
 )
-from .tensorops import CoefficientTensor, StateVector, uniform_product_state
+from .tensorops import CoefficientTensor, StateVector
 
 
 class Convention(str, enum.Enum):
@@ -166,24 +170,22 @@ def pattern_permutation(n: int) -> MonomialGateMatrix:
 
 
 def phase_gate(tensor: CoefficientTensor, convention=Convention.THEOREM) -> MonomialGateMatrix:
-    """Diagonal gate R @ P; diagonal entries are R's row values."""
+    """Diagonal gate R @ P. P is R's own pattern and an involution, so the
+    diagonal is R's row values, bit for bit; the product is never formed."""
     gate = construct_entangler(tensor, convention)
-    tau = gate.compose(pattern_permutation(gate.n))
-    if not tau.is_diagonal:
-        raise AssertionError("phase gate composition must be diagonal")
-    return tau
+    return MonomialGateMatrix(gate.n, np.arange(gate.n), gate.value_of_row)
 
 
 def apply_entangler(tensor: CoefficientTensor, convention=Convention.THEOREM) -> StateVector:
     """Apply the entangler to the all-ones product state.
 
-    Under the ``theorem`` convention the output amplitudes equal the
-    coefficient list bit-for-bit; under ``paper-matrix`` the middle
-    amplitudes appear at the digit-complemented positions instead.
+    Each row of R has one nonzero and every input amplitude is 1, so the
+    amplitudes are R's row values, bit for bit (signs of zero included):
+    the coefficient list under ``theorem``; under ``paper-matrix`` the
+    middle amplitudes appear at the digit-complemented positions instead.
     """
     gate = construct_entangler(tensor, convention)
-    psi = uniform_product_state(tensor.dims)
-    return StateVector(tensor.dims, gate.apply(psi.amplitudes))
+    return StateVector(tensor.dims, gate.value_of_row)
 
 
 @dataclass(frozen=True)
@@ -205,21 +207,28 @@ def certify_entangler(
 ) -> EntanglerReport:
     """Certify unitarity and entangling power of the constructed gate.
 
-    A monomial matrix is unitary exactly when every value is unimodular, so
-    the unitarity residual is ``max | |c|^2 - 1 |`` over the gate's values,
-    computed without building the dense matrix. The entangling verdict tests
-    the output state; the coefficient verdict tests the input tensor
-    directly. Under the ``theorem`` convention the two verdicts coincide for
-    every input; under ``paper-matrix`` they can diverge.
+    The gate is built once. A monomial matrix is unitary exactly when every
+    value is unimodular, so the unitarity residual is ``max | |c|^2 - 1 |``
+    over the gate's values, computed without building the dense matrix. The
+    entangling verdict tests the output state, whose amplitudes are the
+    gate's values; the coefficient verdict tests the input tensor directly.
+    Under ``theorem`` the values are the coefficients bit for bit, so one
+    scan serves both (``entangling is coefficient_verdict``); under
+    ``paper-matrix`` the values get their own scan, and the verdicts can
+    diverge.
     """
     convention = as_convention(convention)
     values = construct_entangler(tensor, convention).value_of_row
     residual = float(np.max(np.abs(values.real**2 + values.imag**2 - 1.0)))
-    out = apply_entangler(tensor, convention)
+    coefficient_verdict = is_fully_separable(tensor, separability_tol)
+    if convention is Convention.THEOREM:
+        entangling = coefficient_verdict
+    else:
+        entangling = is_fully_separable(CoefficientTensor(tensor.dims, values), separability_tol)
     return EntanglerReport(
         convention=convention,
         unitary=residual <= unitary_tol,
         unitarity_residual=residual,
-        entangling=is_fully_separable(out.to_tensor(), separability_tol),
-        coefficient_verdict=is_fully_separable(tensor, separability_tol),
+        entangling=entangling,
+        coefficient_verdict=coefficient_verdict,
     )

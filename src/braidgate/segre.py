@@ -132,13 +132,18 @@ def _generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     pair of remaining digits. A pair of remaining digits that differ in one
     digit only, at an earlier slot, is dropped: its generator repeats one of
     that earlier slot (a minor with two varying slots is a minor of both).
-    Refuses shapes beyond ``GENERATOR_CAP`` before allocating.
+    Refuses shapes beyond ``GENERATOR_CAP``, and returns empty arrays for
+    shapes with no generators, before allocating anything sized by the shape.
     """
     count = _generator_count(dims)
     if count > GENERATOR_CAP:
         raise ResourceLimitError(
             f"shape {dims} has {count} quadric generators, beyond the cap of {GENERATOR_CAP}"
         )
+    if count == 0:
+        empty = np.empty(0, dtype=np.intp)
+        empty.setflags(write=False)
+        return (empty,) * 4
     n = math.prod(dims)
     flat = np.arange(n).reshape(dims)
     cols: list[list[np.ndarray]] = [[], [], [], []]
@@ -155,7 +160,7 @@ def _generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
             u, v = u[~repeats], v[~repeats]
         for col, idx in zip(cols, (rows[a, u], rows[b, v], rows[b, u], rows[a, v])):
             col.append(idx.ravel())
-    arrays = tuple(np.concatenate(col) if col else np.empty(0, dtype=np.intp) for col in cols)
+    arrays = tuple(np.concatenate(col) for col in cols)
     for arr in arrays:
         arr.setflags(write=False)
     return arrays

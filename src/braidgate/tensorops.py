@@ -189,26 +189,6 @@ def kron(a, b, max_dim: int = KRON_DIM_CAP) -> np.ndarray:
     return np.kron(a, b)
 
 
-def mat_mul(a, b) -> np.ndarray:
-    a = _as_matrix(a, "left operand")
-    b = _as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise InputError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return _as_matrix(a).conj().T
-
-
-def apply_matrix(a, v) -> np.ndarray:
-    a = _as_matrix(a)
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if a.shape[1] != v.size:
-        raise InputError(f"cannot apply {a.shape} matrix to length-{v.size} vector")
-    return a @ v
-
-
 def is_unitary(a, tol: float = 1e-12) -> tuple[bool, float]:
     """Whether ``a`` is unitary within ``tol``; returns (flag, residual).
 

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: JSON schemas, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 import braidgate
 from braidgate import random_phases
 from braidgate.cli import main
+from braidgate.segre import _generator_table
 from braidgate.serialize import matrix_to_payload, tensor_from_payload
 
 BELL_PAYLOAD = {"dims": [2, 2], "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
@@ -106,6 +109,17 @@ def test_entangle_theorem_returns_entries(tmp_path, capsys):
     assert state["amplitudes"] == tensor_payload["entries"]
 
 
+def test_entangle_keeps_the_sign_of_zero(tmp_path, capsys):
+    entries = [[-0.0, -1.0], [0.5, -0.0], [1.0, 0.0], [-0.0, -0.0]]
+    path = write_json(tmp_path, "zeros.json", {"dims": [2, 2], "entries": entries})
+    code, out, _ = run_cli(capsys, "entangle", "--input", path)
+    assert code == 0
+    amplitudes = json.loads(out)["amplitudes"]
+    assert [[math.copysign(1.0, x) for x in pair] for pair in amplitudes] == [
+        [math.copysign(1.0, x) for x in pair] for pair in entries
+    ]
+
+
 def test_separability_bell(tmp_path, capsys):
     path = write_json(tmp_path, "bell.json", BELL_PAYLOAD)
     code, out, _ = run_cli(capsys, "separability", "--input", path)
@@ -154,6 +168,19 @@ def test_generators_counts(capsys):
     code, out, _ = run_cli(capsys, "generators", "--dims", "3,3")
     assert code == 0
     assert json.loads(out)["count"] == 9
+
+
+def test_generators_zero_count_shape_allocates_nothing(capsys):
+    _generator_table.cache_clear()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "generators", "--dims", "10000000,1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"dims": [10000000, 1], "count": 0, "generators": []}
+    assert peak < 2**20
 
 
 def test_ybe_from_seeded_phases(capsys):
@@ -210,6 +237,29 @@ def test_ybe_algebraic_form(capsys):
     payload = json.loads(out)
     assert payload["form"] == "algebraic"
     assert payload["passed"] is True
+
+
+def test_ybe_forms_differ_only_in_label(tmp_path, capsys):
+    # one residual serves both forms: the algebraic residual of swap @ R is
+    # the braided residual of R
+    rng = np.random.default_rng(17)
+    gaussian = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    inputs = [
+        write_json(tmp_path, "gaussian.json", matrix_to_payload(gaussian)),
+        write_json(tmp_path, "t33.json", {
+            "dims": [3, 3],
+            "entries": [[float(x), float(y)] for x, y in rng.normal(size=(9, 2))],
+        }),
+    ]
+    for path in inputs:
+        code_b, out_b, err_b = run_cli(capsys, "ybe", "--input", path, "--form", "braided")
+        code_a, out_a, err_a = run_cli(capsys, "ybe", "--input", path, "--form", "algebraic")
+        braided, algebraic = json.loads(out_b), json.loads(out_a)
+        assert braided["residual"] > 0.0
+        assert code_b == code_a == 1 and err_b == err_a == ""
+        assert (braided.pop("form"), algebraic.pop("form")) == ("braided", "algebraic")
+        assert braided == algebraic
+        assert out_b.replace('"braided"', '"algebraic"') == out_a
 
 
 def test_ybe_rejects_non_square_sizes(tmp_path, capsys):

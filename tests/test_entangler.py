@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import braidgate.entangler as entangler_module
 from braidgate import (
     CoefficientTensor,
     Convention,
@@ -17,6 +20,7 @@ from braidgate import (
     construct_entangler,
     digit_complement,
     evaluate_quadric,
+    is_fully_separable,
     is_unitary,
     lex_index,
     multi_index,
@@ -102,6 +106,28 @@ def test_monomial_type_operations():
         MonomialGateMatrix(3, [0, 0, 2], [1, 1, 1])
 
 
+@st.composite
+def monomial_pairs(draw):
+    # Gaussian-integer values keep every product exact, so the dense
+    # references must agree bit for bit
+    n = draw(st.integers(1, 9))
+
+    def monomial():
+        perm = draw(st.permutations(range(n)))
+        parts = draw(st.lists(st.integers(-4, 4), min_size=2 * n, max_size=2 * n))
+        return MonomialGateMatrix(n, perm, np.array(parts[::2]) + 1j * np.array(parts[1::2]))
+
+    return monomial(), monomial()
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_pairs())
+def test_monomial_compose_and_adjoint_match_dense_products(pair):
+    a, b = pair
+    assert np.array_equal(a.compose(b).dense(), a.dense() @ b.dense())
+    assert np.array_equal(a.adjoint().dense(), a.dense().conj().T)
+
+
 def test_pattern_permutation_matches_swap_pattern():
     p = pattern_permutation(9)
     expected = np.zeros((9, 9))
@@ -147,6 +173,42 @@ def test_apply_entangler_theorem_is_bit_identical():
         t = random_tensor(dims, rng)
         out = apply_entangler(t, "theorem")
         assert np.array_equal(out.amplitudes, t.entries)
+
+
+SIGNED_ZEROS = [
+    complex(-0.0, -1.0), complex(0.5, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0),
+    complex(0.0, -0.0), complex(-1.0, -0.0), complex(-0.0, 2.0), complex(3.0, 0.0),
+    complex(0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+@pytest.mark.parametrize("conv", list(Convention))
+def test_state_and_phase_gate_are_the_gate_values_bit_for_bit(dims, conv):
+    n = math.prod(dims)
+    t = CoefficientTensor(dims, (SIGNED_ZEROS * 2)[:n])
+    values = construct_entangler(t, conv).value_of_row
+    assert apply_entangler(t, conv).amplitudes.tobytes() == values.tobytes()
+    assert phase_gate(t, conv).value_of_row.tobytes() == values.tobytes()
+    if conv is Convention.THEOREM:
+        assert values.tobytes() == t.entries.tobytes()
+
+
+def test_each_question_builds_the_gate_once(monkeypatch):
+    calls = []
+    build = entangler_module.construct_entangler
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(entangler_module, "construct_entangler", counting)
+    t = random_phases((3, 3), 7)
+    for conv in Convention:
+        for question in (apply_entangler, phase_gate, certify_entangler):
+            calls.clear()
+            question(t, conv)
+            assert len(calls) == 1, question.__name__
 
 
 def test_apply_entangler_paper_matrix_reflects_middle():
@@ -243,3 +305,22 @@ def test_theorem_verdicts_always_coincide():
             report = certify_entangler(t, "theorem")
             assert report.entangling.separable == report.coefficient_verdict.separable
             assert report.entangling.max_violation == report.coefficient_verdict.max_violation
+            assert report.entangling is report.coefficient_verdict
+
+
+@st.composite
+def small_tensors(draw):
+    dims = draw(st.sampled_from([(2, 2), (3, 3), (2, 2, 2)]))
+    parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+    entries = draw(st.lists(st.builds(complex, parts, parts),
+                            min_size=math.prod(dims), max_size=math.prod(dims)))
+    assume(any(entries))
+    return CoefficientTensor(dims, entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_tensors())
+def test_paper_matrix_entangling_is_the_output_state_verdict(t):
+    report = certify_entangler(t, "paper-matrix")
+    state = apply_entangler(t, "paper-matrix").to_tensor()
+    assert report.entangling == is_fully_separable(state)

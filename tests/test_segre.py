@@ -342,6 +342,21 @@ def test_oversized_shape_refused_before_allocating():
     assert _generator_table.cache_info().currsize == cached
 
 
+def test_zero_generator_shape_allocates_nothing():
+    # the closed-form count is 0, so no index array sized by the shape is built
+    dims = (1, 10**7)
+    _generator_table.cache_clear()
+    tracemalloc.start()
+    try:
+        gens = quadric_generators(dims)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gens == ()
+    assert peak < 2**20
+    assert all(arr.size == 0 and not arr.flags.writeable for arr in _generator_table(dims))
+
+
 @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (1, 3000), (3000,)])
 def test_size_one_slot_shapes_are_separable(dims):
     # one varying slot: no generators, and no pair lists are built for it

@@ -10,14 +10,11 @@ from braidgate import (
     CoefficientTensor,
     InputError,
     ResourceLimitError,
-    adjoint,
-    apply_matrix,
     digit_complement,
     flatten_mode,
     is_unitary,
     kron,
     lex_index,
-    mat_mul,
     multi_index,
     uniform_product_state,
 )
@@ -109,20 +106,6 @@ def test_kron_mixed_product_with_vectors():
 def test_kron_size_cap():
     with pytest.raises(ResourceLimitError):
         kron(np.eye(200), np.eye(200), max_dim=10_000)
-
-
-def test_mat_mul_and_adjoint():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    b = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    assert np.array_equal(mat_mul(a, np.eye(9)), a)
-    assert np.array_equal(adjoint(adjoint(a)), a)
-    assert np.max(np.abs(apply_matrix(mat_mul(a, b), v) - apply_matrix(a, b @ v))) < 1e-13
-    with pytest.raises(InputError):
-        mat_mul(a, np.eye(4))
-    with pytest.raises(InputError):
-        apply_matrix(a, v[:5])
 
 
 def test_is_unitary():
