@@ -24,11 +24,11 @@ from .braid import (
 )
 from .entangler import (
     Convention,
+    _phase_gate_of,
     apply_entangler,
     as_convention,
     construct_entangler,
     pattern_permutation,
-    phase_gate,
 )
 from .errors import InputError, ResourceLimitError
 from .segre import (
@@ -103,7 +103,7 @@ def _cmd_construct(args) -> int:
         "n": gate.n,
         "R": serialize.monomial_to_payload(gate),
         "P": serialize.monomial_to_payload(pattern_permutation(gate.n)),
-        "tau": serialize.monomial_to_payload(phase_gate(tensor, convention)),
+        "tau": serialize.monomial_to_payload(_phase_gate_of(gate)),
     }
     serialize.emit_json(payload, args.output)
     return 0

@@ -169,11 +169,15 @@ def pattern_permutation(n: int) -> MonomialGateMatrix:
     return MonomialGateMatrix(n, _entangler_pattern(n), np.ones(n, dtype=np.complex128))
 
 
-def phase_gate(tensor: CoefficientTensor, convention=Convention.THEOREM) -> MonomialGateMatrix:
-    """Diagonal gate R @ P. P is R's own pattern and an involution, so the
-    diagonal is R's row values, bit for bit; the product is never formed."""
-    gate = construct_entangler(tensor, convention)
+def _phase_gate_of(gate: MonomialGateMatrix) -> MonomialGateMatrix:
+    """R @ P for an entangler R already built: P is R's own pattern and an
+    involution, so the diagonal is R's row values, bit for bit."""
     return MonomialGateMatrix(gate.n, np.arange(gate.n), gate.value_of_row)
+
+
+def phase_gate(tensor: CoefficientTensor, convention=Convention.THEOREM) -> MonomialGateMatrix:
+    """Diagonal gate R @ P, read from R's values; the product is never formed."""
+    return _phase_gate_of(construct_entangler(tensor, convention))
 
 
 def apply_entangler(tensor: CoefficientTensor, convention=Convention.THEOREM) -> StateVector:

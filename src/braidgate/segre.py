@@ -25,8 +25,8 @@ from .errors import InputError, ResourceLimitError
 from .tensorops import (
     CoefficientTensor,
     _as_dims,
+    _check_digits,
     flatten_mode,
-    validate_multi_index,
 )
 
 # Verdicts whose normalized residual lands in this open band are flagged as
@@ -62,8 +62,8 @@ class QuadricGenerator:
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
-        k = validate_multi_index(self.k, dims)
-        l = validate_multi_index(self.l, dims)
+        k = _check_digits(self.k, dims)
+        l = _check_digits(self.l, dims)
         if not 1 <= self.slot <= len(dims):
             raise InputError(f"slot {self.slot} outside 1..{len(dims)}")
         j = self.slot - 1

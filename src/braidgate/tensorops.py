@@ -41,9 +41,11 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def validate_multi_index(digits, dims) -> tuple[int, ...]:
-    """Check a 1-based multi-index against ``dims`` and return it as a tuple."""
-    dims = _as_dims(dims)
+def _check_digits(digits, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Check a 1-based multi-index against ``dims`` and return it as a tuple.
+
+    ``dims`` must come from :func:`_as_dims`: callers check it once per call.
+    """
     digits = tuple(int(d) for d in digits)
     if len(digits) != len(dims):
         raise InputError(f"multi-index {digits} has {len(digits)} digits, expected {len(dims)}")
@@ -55,10 +57,9 @@ def validate_multi_index(digits, dims) -> tuple[int, ...]:
 
 def lex_index(digits, dims) -> int:
     """1-based lex rank of a multi-index, first digit most significant."""
-    digits = validate_multi_index(digits, dims)
     dims = _as_dims(dims)
     r = 0
-    for d, n in zip(digits, dims):
+    for d, n in zip(_check_digits(digits, dims), dims):
         r = r * n + (d - 1)
     return r + 1
 
@@ -80,9 +81,8 @@ def multi_index(r: int, dims) -> tuple[int, ...]:
 
 def digit_complement(digits, dims) -> tuple[int, ...]:
     """Reflect every digit: ``k_j -> dims[j] + 1 - k_j``."""
-    digits = validate_multi_index(digits, dims)
     dims = _as_dims(dims)
-    return tuple(n + 1 - d for d, n in zip(digits, dims))
+    return tuple(n + 1 - d for d, n in zip(_check_digits(digits, dims), dims))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidgate import (
     BraidWord,
@@ -23,6 +25,7 @@ from braidgate import (
     swap_gate,
     to_algebraic,
 )
+from braidgate.braid import _apply_on_strands, _apply_on_strands_right
 
 
 def phase_matrix(n, seed):
@@ -324,3 +327,125 @@ def test_relations_at_the_representation_cap_stay_small():
     assert peak < 8 * 2**20
     with pytest.raises(ResourceLimitError):
         check_braid_relations(swap_gate(2), 2, 13)
+
+
+# --- the strand-local kernel against the dense Kronecker products it replaced
+
+
+def dense_generator_rep(r, dim, n_strands, i):
+    """I_a (x) R (x) I_b as a dense dim**n_strands square matrix."""
+    left = np.eye(dim ** (i - 1), dtype=np.complex128)
+    right = np.eye(dim ** (n_strands - i - 1), dtype=np.complex128)
+    return np.kron(np.kron(left, r), right)
+
+
+def dense_ybe_residual(r, dim):
+    """R12 R23 R12 - R23 R12 R23 multiplied out as dim**3 square matrices."""
+    eye = np.eye(dim, dtype=np.complex128)
+    a = np.kron(r, eye)
+    b = np.kron(eye, r)
+    return float(np.max(np.abs(a @ b @ a - b @ a @ b)))
+
+
+def dense_word(word, r, dim):
+    """One dense representation matrix per letter, multiplied left to right."""
+    r_inv = np.linalg.inv(r)
+    out = np.eye(dim**word.n_strands, dtype=np.complex128)
+    for letter in word.letters:
+        factor = r if letter > 0 else r_inv
+        out = out @ dense_generator_rep(factor, dim, word.n_strands, abs(letter))
+    return out
+
+
+def gaussian_integers(draw, shape):
+    parts = draw(st.lists(st.integers(-3, 3), min_size=2 * math.prod(shape),
+                          max_size=2 * math.prod(shape)))
+    return (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(shape)
+
+
+@st.composite
+def strand_cases(draw):
+    # Gaussian-integer entries keep every product exact, so the kernel and
+    # the dense references must agree bit for bit
+    dim = draw(st.integers(1, 4))
+    n_strands = draw(st.integers(2, 5))
+    i = draw(st.integers(1, n_strands - 1))
+    cols = draw(st.integers(1, 3))
+    r = gaussian_integers(draw, (dim * dim, dim * dim))
+    m = gaussian_integers(draw, (dim**n_strands, cols))
+    return dim, n_strands, i, r, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(strand_cases())
+def test_strand_kernel_matches_dense_kronecker_products(case):
+    dim, n_strands, i, r, m = case
+    dense = dense_generator_rep(r, dim, n_strands, i)
+    assert np.array_equal(_apply_on_strands(r, m, dim, i), dense @ m)
+    assert np.array_equal(_apply_on_strands_right(m.T, r, dim, i), m.T @ dense)
+    assert np.array_equal(braid_generator_rep(r, dim, n_strands, i), dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+def test_ybe_residual_within_four_ulp_of_the_dense_residual(dim, seed, phase_swap):
+    rng = np.random.default_rng(seed)
+    if phase_swap:
+        # a solution: both residuals are rounding noise on unimodular entries
+        r = r_from_phase_matrix(np.exp(2j * np.pi * rng.random((dim, dim))))
+        scale = 1.0
+    else:
+        r = gaussian_matrix(dim * dim, rng)
+        scale = dense_ybe_residual(r, dim)
+    ref = dense_ybe_residual(r, dim)
+    report = check_yang_baxter(r, dim)
+    assert abs(report.residual - ref) <= 4 * np.spacing(scale)
+    assert report.passed == (ref <= report.tolerance)
+
+
+def test_ybe_at_dim_twelve_stays_within_forty_megabytes():
+    # the dense check held three 1728 x 1728 complex products (over 140 MB)
+    r = r_from_phase_matrix(phase_matrix(12, 12))
+    tracemalloc.start()
+    try:
+        report = check_yang_baxter(r, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.residual < 1e-15
+    assert peak < 40 * 2**20
+
+
+def test_braid_word_with_inverse_letters_matches_dense_products():
+    word = BraidWord(5, (1, -2, 3, 4, -1))
+    rng = np.random.default_rng(80)
+    for r in (r_from_phase_matrix(phase_matrix(2, 81)), gaussian_matrix(4, rng)):
+        ref = dense_word(word, r, 2)
+        out = evaluate_braid_word(word, r, 2)
+        assert np.array_equal(out != 0, ref != 0)
+        # the same products summed in another order: last-ulp differences
+        assert np.max(np.abs(out - ref)) <= 8 * EPS * np.max(np.abs(ref))
+
+
+def test_refusals_come_before_allocation():
+    big = np.eye(32 * 32, dtype=np.complex128)
+    singular = np.zeros((4, 4), dtype=np.complex128)
+    singular[0, 0] = 1.0
+    refusals = [
+        (ResourceLimitError, lambda: check_yang_baxter(big, 32)),
+        (ResourceLimitError, lambda: braid_generator_rep(swap_gate(2), 2, 13, 1)),
+        (ResourceLimitError, lambda: evaluate_braid_word(BraidWord(13, (1,)), swap_gate(2), 2)),
+        (ResourceLimitError, lambda: check_braid_relations(swap_gate(2), 2, 13)),
+        # the 4096 x 4096 identity (256 MB) is never made for a singular R
+        (InputError, lambda: evaluate_braid_word(BraidWord(12, (2, -1)), singular, 2)),
+    ]
+    for error, call in refusals:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # validating the 16 MB input takes a 1 MB finiteness mask at most
+        assert peak < 2 * 2**20

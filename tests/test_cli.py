@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import braidgate
-from braidgate import random_phases
+import braidgate.cli as cli_module
+import braidgate.entangler as entangler_module
+from braidgate import pattern_permutation, phase_gate, random_phases
 from braidgate.cli import main
 from braidgate.segre import _generator_table
-from braidgate.serialize import matrix_to_payload, tensor_from_payload
+from braidgate.serialize import matrix_to_payload, monomial_to_payload, tensor_from_payload
 
 BELL_PAYLOAD = {"dims": [2, 2], "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
 # (1,1,2) (x) (1,1,1) as a flat lex-ordered tensor
@@ -89,6 +91,41 @@ def test_construct_theorem_tau_is_lex_ordered(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert [row["value"][0] for row in payload["tau"]["rows"]] == [float(v) for v in range(1, 10)]
+
+
+def test_construct_builds_the_gate_once_with_unchanged_bytes(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = entangler_module.construct_entangler
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    rng = np.random.default_rng(91)
+    for dims in [(3, 3), (2, 2, 2)]:
+        entries = rng.normal(size=(math.prod(dims), 2))
+        entries[1] = [-0.0, 0.5]
+        entries[2] = [0.25, -0.0]
+        path = write_json(tmp_path, "t.json", {"dims": list(dims), "entries": entries.tolist()})
+        tensor = tensor_from_payload(json.loads(Path(path).read_text()))
+        for conv in ("paper-matrix", "theorem"):
+            # the payload as assembled before tau was read from the built gate
+            gate = build(tensor, conv)
+            expected = json.dumps({
+                "convention": conv,
+                "n": gate.n,
+                "R": monomial_to_payload(gate),
+                "P": monomial_to_payload(pattern_permutation(gate.n)),
+                "tau": monomial_to_payload(phase_gate(tensor, conv)),
+            }, indent=2) + "\n"
+            with monkeypatch.context() as m:
+                m.setattr(cli_module, "construct_entangler", counting)
+                m.setattr(entangler_module, "construct_entangler", counting)
+                calls.clear()
+                code, out, _ = run_cli(capsys, "construct", "--input", path, "--convention", conv)
+            assert code == 0
+            assert len(calls) == 1
+            assert out == expected
 
 
 def test_construct_rejects_non_uniform_dims(tmp_path, capsys):

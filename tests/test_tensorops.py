@@ -2,13 +2,17 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+import braidgate.segre as segre_module
+import braidgate.tensorops as tensorops_module
 from braidgate import (
     CoefficientTensor,
     InputError,
+    QuadricGenerator,
     ResourceLimitError,
     digit_complement,
     flatten_mode,
@@ -61,6 +65,43 @@ def test_index_validation_errors():
         multi_index(0, (3, 3))
     with pytest.raises(InputError):
         multi_index(10, (3, 3))
+
+
+def test_index_helpers_check_dims_once_with_unchanged_messages(monkeypatch):
+    calls = []
+    as_dims = tensorops_module._as_dims
+
+    def counting(dims):
+        calls.append(dims)
+        return as_dims(dims)
+
+    monkeypatch.setattr(tensorops_module, "_as_dims", counting)
+    monkeypatch.setattr(segre_module, "_as_dims", counting)
+    for build in (
+        lambda: lex_index((2, 3), (3, 3)),
+        lambda: digit_complement((2, 3), (3, 3)),
+        lambda: QuadricGenerator(1, (1, 1), (2, 2), (2, 2)),
+    ):
+        calls.clear()
+        build()
+        assert len(calls) == 1
+
+    cases = [
+        (lambda: lex_index((0, 1), (3, 3)), "digit 0 at slot 1 outside 1..3"),
+        (lambda: lex_index((1, 1, 1), (3, 3)), "multi-index (1, 1, 1) has 3 digits, expected 2"),
+        (lambda: lex_index((1, 1), (3, 0)), "dims must be non-empty and positive, got (3, 0)"),
+        (lambda: lex_index((1,), None), "dims must be a sequence of integers, got None"),
+        (lambda: digit_complement((1, 4), (3, 3)), "digit 4 at slot 2 outside 1..3"),
+        (lambda: digit_complement((1, 1), ()), "dims must be non-empty and positive, got ()"),
+        (lambda: QuadricGenerator(1, (1, 1), (2, 3), (2, 2)), "digit 3 at slot 2 outside 1..2"),
+        (lambda: QuadricGenerator(1, (1,), (2, 2), (2, 2)),
+         "multi-index (1,) has 1 digits, expected 2"),
+        (lambda: QuadricGenerator(1, (1, 1), (2, 2), ("a", 2)),
+         "dims must be a sequence of integers, got ('a', 2)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_digit_complement_examples():
