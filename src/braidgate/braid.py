@@ -11,7 +11,8 @@ operator I (x) R (x) I is never built. The checker still assumes nothing
 about the structure of the candidate R; the Artin relation and algebraic
 checks reduce to its one residual. Generators of the n-strand braid group
 act by R on adjacent factor pairs, and braid words are multiplied out
-letter by letter the same way.
+letter by letter the same way. Each public call checks R, the strand count
+and the tolerance once; the private cores behind it take checked inputs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import _as_matrix
+from .tensorops import _as_matrix, _as_tol
 
-# Dense representation matrices are capped at this size (rows = columns).
+# Strand representations (R itself on 2 strands) are capped at this size.
 REP_DIM_CAP = 4096
 
 DEFAULT_YBE_TOL = 1e-12
@@ -80,12 +81,36 @@ class BraidRelationReport:
         return max((c.residual for c in self.checks), default=0.0)
 
 
+def _operator(r, dim: int | None) -> tuple[np.ndarray, int]:
+    """R as a finite complex dim**2 square matrix; dim is inferred when None."""
+    r = _as_matrix(r, "R")
+    if r.shape[0] != r.shape[1]:
+        raise InputError(f"R must be square, got {r.shape}")
+    if dim is None:
+        dim = math.isqrt(r.shape[0])
+    if dim < 1 or dim * dim != r.shape[0]:
+        raise InputError(f"matrix size {r.shape[0]} is not dim^2 for dim={dim}")
+    return r, int(dim)
+
+
+def _check_strands(dim: int, n_strands: int, max_dim: int = REP_DIM_CAP) -> int:
+    """dim**n_strands, refused below 2 strands or above ``max_dim``; over
+    ``max_dim.bit_length()`` strands (too many for any dim >= 2, and the bound
+    for dim 1) are refused before dim**n_strands is computed."""
+    n_strands = int(n_strands)
+    if n_strands < 2:
+        raise InputError("need at least 2 strands")
+    if n_strands > int(max_dim).bit_length() or dim**n_strands > max_dim:
+        raise ResourceLimitError(f"representation size {dim}**{n_strands} exceeds cap {max_dim}")
+    return dim**n_strands
+
+
 def swap_gate(dim: int) -> np.ndarray:
     """The tensor swap on C^dim (x) C^dim: |a,b> -> |b,a>."""
     dim = int(dim)
     if dim < 1:
         raise InputError("swap gate needs dim >= 1")
-    return r_from_phase_matrix(np.ones((dim, dim)))
+    return r_from_phase_matrix(np.broadcast_to(1.0, (dim, dim)))  # allocates nothing
 
 
 def r_from_phase_matrix(phases) -> np.ndarray:
@@ -93,27 +118,22 @@ def r_from_phase_matrix(phases) -> np.ndarray:
 
     Row (k,l) holds M[k,l] at column (l,k). For any complex matrix M the
     result solves the braided Yang-Baxter equation; it is unitary exactly
-    when every entry of M is unimodular.
+    when every entry of M is unimodular. It is refused above the 2-strand cap.
     """
-    m = _as_matrix(phases, "phase matrix")
-    if m.shape[0] != m.shape[1]:
-        raise InputError(f"phase matrix must be square, got {m.shape}")
+    m = np.asarray(phases)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"phase matrix must be square, got shape {m.shape}")
+    _check_strands(m.shape[0], 2)
+    return _phase_swap(_as_matrix(m, "phase matrix"))
+
+
+def _phase_swap(m: np.ndarray) -> np.ndarray:
+    """:func:`r_from_phase_matrix` of a checked square phase matrix."""
     dim = m.shape[0]
     r = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for k in range(dim):
-        for l in range(dim):
-            r[k * dim + l, l * dim + k] = m[k, l]
+    rows = np.arange(dim * dim)
+    r[rows, rows % dim * dim + rows // dim] = m.reshape(-1)
     return r
-
-
-def _infer_factor_dim(r: np.ndarray, dim: int | None) -> int:
-    if r.shape[0] != r.shape[1]:
-        raise InputError(f"R must be square, got {r.shape}")
-    if dim is None:
-        dim = math.isqrt(r.shape[0])
-    if dim * dim != r.shape[0]:
-        raise InputError(f"matrix size {r.shape[0]} is not dim^2 for dim={dim}")
-    return dim
 
 
 def _apply_on_strands(r: np.ndarray, m: np.ndarray, dim: int, i: int) -> np.ndarray:
@@ -137,12 +157,16 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
     The residual is ``max |R12 R23 R12 - R23 R12 R23|`` over all dim**6
     entries. Both sides are applied strand-locally to blocks of dim**2
     identity columns, so the cost is O(dim**8) and the working set
-    O(dim**5); no dim**3 square operator is formed.
+    O(dim**5); no dim**3 square operator is formed. dim**3 is capped at
+    ``REP_DIM_CAP``, and an R whose products overflow is an input error.
     """
-    r = _as_matrix(r, "R")
-    dim = _infer_factor_dim(r, dim)
-    if dim**3 > REP_DIM_CAP:
-        raise ResourceLimitError(f"dense YBE check at dim {dim} exceeds cap {REP_DIM_CAP}")
+    r, dim = _operator(r, dim)
+    _check_strands(dim, 3)
+    return _ybe(r, dim, _as_tol(tol))
+
+
+def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
+    """:func:`check_yang_baxter` of a checked R, dim and tolerance."""
 
     def r12(m):
         return _apply_on_strands(r, m, dim, 1)
@@ -155,9 +179,14 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
     for start in range(0, dim**3, width):
         block = np.zeros((dim**3, width), dtype=np.complex128)
         np.fill_diagonal(block[start:start + width], 1.0)
-        lhs = r12(r23(r12(block)))
-        lhs -= r23(r12(r23(block)))
-        residual = max(residual, float(np.max(np.abs(lhs))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = r12(r23(r12(block)))
+            lhs -= r23(r12(r23(block)))
+            worst = float(np.max(np.abs(lhs)))
+        # an overflow leaves inf or nan here, which max() would drop
+        if not math.isfinite(worst):
+            raise InputError("the Yang-Baxter products of R overflow")
+        residual = max(residual, worst)
     return YbeReport(residual, residual <= tol, tol)
 
 
@@ -168,9 +197,7 @@ def _swap_rows(m: np.ndarray, dim: int) -> np.ndarray:
 
 def to_algebraic(r, dim: int | None = None) -> np.ndarray:
     """Compose with the flat crossing: returns swap @ R."""
-    r = _as_matrix(r, "R")
-    dim = _infer_factor_dim(r, dim)
-    return _swap_rows(r, dim)
+    return _swap_rows(*_operator(r, dim))
 
 
 def check_algebraic_yang_baxter(
@@ -182,11 +209,11 @@ def check_algebraic_yang_baxter(
     satisfy it, beyond the classical fact that a braided solution composed
     with the swap does.
     """
-    x = _as_matrix(x, "X")
-    dim = _infer_factor_dim(x, dim)
+    x, dim = _operator(x, dim)
+    _check_strands(dim, 3)
     # X12 X13 X23 - X23 X13 X12 = P13 (R12 R23 R12 - R23 R12 R23) for R = P X,
     # and a permutation keeps the largest absolute entry.
-    return check_yang_baxter(_swap_rows(x, dim), dim, tol)
+    return _ybe(_swap_rows(x, dim), dim, _as_tol(tol))
 
 
 def braid_generator_rep(
@@ -197,16 +224,11 @@ def braid_generator_rep(
     R's entries are written into the result's blocks, with no arithmetic,
     so the only dim**n_strands square allocation is the result itself.
     """
-    r = _as_matrix(r, "R")
-    dim = _infer_factor_dim(r, dim)
+    r, dim = _operator(r, dim)
+    total = _check_strands(dim, n_strands, max_dim)
     n_strands = int(n_strands)
-    if n_strands < 2:
-        raise InputError("need at least 2 strands")
     if not 1 <= i <= n_strands - 1:
         raise InputError(f"generator index {i} outside 1..{n_strands - 1}")
-    total = dim**n_strands
-    if total > max_dim:
-        raise ResourceLimitError(f"representation size {total} exceeds cap {max_dim}")
     a, b = dim ** (i - 1), dim ** (n_strands - i - 1)
     out = np.zeros((a, dim * dim, b, a, dim * dim, b), dtype=np.complex128)
     x, y = np.arange(a)[:, None], np.arange(b)
@@ -222,13 +244,12 @@ def evaluate_braid_word(
     The first letter is the leftmost factor. Starting from the identity,
     each letter right-applies R or its inverse on its two strands, which
     costs O(dim**(2 n_strands + 2)) per letter; no generator matrix is
-    built. R must be invertible; exact singularity is an input error.
+    built; each letter is written back into the one result buffer in chunks
+    of isqrt(size) rows, since a row of the product depends on that row only.
+    R must be invertible; exact singularity is an input error.
     """
-    r = _as_matrix(r, "R")
-    dim = _infer_factor_dim(r, dim)
-    total = dim**word.n_strands
-    if total > max_dim:
-        raise ResourceLimitError(f"representation size {total} exceeds cap {max_dim}")
+    r, dim = _operator(r, dim)
+    total = _check_strands(dim, word.n_strands, max_dim)
     r_inv = None
     if any(x < 0 for x in word.letters):
         try:
@@ -237,9 +258,12 @@ def evaluate_braid_word(
         except np.linalg.LinAlgError as exc:
             raise InputError("R is singular; braid letters need an inverse") from exc
     out = np.eye(total, dtype=np.complex128)
+    step = math.isqrt(total)
     for letter in word.letters:
         factor = r if letter > 0 else r_inv
-        out = _apply_on_strands_right(out, factor, dim, abs(letter))
+        for start in range(0, total, step):
+            rows = slice(start, start + step)
+            out[rows] = _apply_on_strands_right(out[rows], factor, dim, abs(letter))
     return out
 
 
@@ -256,22 +280,23 @@ def check_braid_relations(
     R since the supports are disjoint. Each braid relation
     b_i b_{i+1} b_i = b_{i+1} b_i b_{i+1} is the YBE padded with identities,
     which keep the largest absolute entry, so it carries the
-    :func:`check_yang_baxter` residual. ``max_dim`` caps dim**n_strands.
+    :func:`check_yang_baxter` residual. ``max_dim`` caps dim**n_strands,
+    and with it the YBE check and the number of relations reported.
     """
-    r = _as_matrix(r, "R")
-    dim = _infer_factor_dim(r, dim)
-    n_strands = int(n_strands)
-    if n_strands < 2:
-        raise InputError("need at least 2 strands")
-    if dim**n_strands > max_dim:
-        raise ResourceLimitError(f"representation size {dim**n_strands} exceeds cap {max_dim}")
+    r, dim = _operator(r, dim)
+    _check_strands(dim, n_strands, max_dim)
+    return _relations(r, dim, int(n_strands), _as_tol(tol))
+
+
+def _relations(r: np.ndarray, dim: int, n_strands: int, tol: float) -> BraidRelationReport:
+    """:func:`check_braid_relations` of checked inputs."""
     checks = [
-        RelationCheck("far_commutation", i, j, 0.0, 0.0 <= tol)
+        RelationCheck("far_commutation", i, j, 0.0, True)
         for i in range(1, n_strands)
         for j in range(i + 2, n_strands)
     ]
     if n_strands >= 3:
-        local = check_yang_baxter(r, dim, tol)
+        local = _ybe(r, dim, tol)
         checks += [
             RelationCheck("braid", i, None, local.residual, local.passed)
             for i in range(1, n_strands - 1)

@@ -9,19 +9,12 @@ the command asserts any), 1 a check failed, 2 bad input or usage.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 
 import numpy as np
 
 from . import serialize
-from .braid import (
-    DEFAULT_YBE_TOL,
-    check_braid_relations,
-    check_yang_baxter,
-    r_from_phase_matrix,
-)
+from .braid import DEFAULT_YBE_TOL, _check_strands, _operator, _phase_swap, _relations, _ybe
 from .entangler import (
     Convention,
     _phase_gate_of,
@@ -31,23 +24,8 @@ from .entangler import (
     pattern_permutation,
 )
 from .errors import InputError, ResourceLimitError
-from .segre import (
-    DEFAULT_SEPARABILITY_TOL,
-    is_fully_separable,
-    quadric_generators,
-    rank1_oracle,
-)
-from .tensorops import CoefficientTensor, random_phases
-
-
-def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"--dims expects comma-separated integers, got {text!r}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise InputError(f"--dims entries must be positive, got {text!r}")
-    return dims
+from .segre import DEFAULT_SEPARABILITY_TOL, _rank1, _verdict, quadric_generators
+from .tensorops import CoefficientTensor, _as_dims, _as_tol, random_phases
 
 
 def _load_tensor(path: str) -> CoefficientTensor:
@@ -60,21 +38,23 @@ def _require(value, flag: str):
     return value
 
 
-def _resolve_r_source(args) -> tuple[np.ndarray, int]:
+def _resolve_r_source(args, n_strands: int) -> tuple[np.ndarray, int]:
     """Build the two-factor operator R for the ybe/braid commands.
 
     Sources, in order of precedence: ``--phases`` (seeded unimodular phase
     matrix, needs square --dims and --seed); ``--input`` with a tensor file
     (two uniform slots; the entangler for it, honoring --convention);
     ``--input`` with a matrix file (used as-is, size must be a square).
+    A matrix file is checked as R, and ``n_strands`` is refused before R is
+    built from phases or a tensor.
     """
     if args.phases:
-        dims = _parse_dims(_require(args.dims, "--dims"))
+        dims = _as_dims(_require(args.dims, "--dims").split(","))
         if len(dims) != 2 or dims[0] != dims[1]:
             raise InputError(f"--phases needs square dims N,N, got {dims}")
         seed = _require(args.seed, "--seed")
-        phases = random_phases(dims, seed).as_array()
-        return r_from_phase_matrix(phases), dims[0]
+        _check_strands(dims[0], n_strands)
+        return _phase_swap(random_phases(dims, seed).as_array()), dims[0]
     path = _require(args.input, "--input (or --phases)")
     payload = serialize.load_json(path)
     if isinstance(payload, dict) and "entries" in payload:
@@ -84,14 +64,11 @@ def _resolve_r_source(args) -> tuple[np.ndarray, int]:
                 f"an entangler used as R needs exactly 2 slots, got {tensor.n_slots}"
             )
         gate = construct_entangler(tensor, as_convention(args.convention))
+        _check_strands(tensor.dims[0], n_strands)
         return gate.dense(), tensor.dims[0]
-    matrix = serialize.matrix_from_payload(payload)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise InputError(f"R must be square, got {matrix.shape}")
-    dim = math.isqrt(matrix.shape[0])
-    if dim * dim != matrix.shape[0]:
-        raise InputError(f"matrix size {matrix.shape[0]} is not a perfect square")
-    return matrix, dim
+    r, dim = _operator(serialize.matrix_from_payload(payload), None)
+    _check_strands(dim, n_strands)
+    return r, dim
 
 
 def _cmd_construct(args) -> int:
@@ -118,8 +95,9 @@ def _cmd_entangle(args) -> int:
 
 def _cmd_separability(args) -> int:
     tensor = _load_tensor(args.input)
-    verdict = is_fully_separable(tensor, args.tol)
-    agrees = rank1_oracle(tensor, args.tol) == verdict.separable
+    # --tol was checked as it was parsed
+    verdict = _verdict(tensor, args.tol)
+    agrees = _rank1(tensor, args.tol) == verdict.separable
     if verdict.marginal:
         print(
             f"note: residual {verdict.max_violation:.3e} is in the marginal band; "
@@ -134,7 +112,7 @@ def _cmd_separability(args) -> int:
 
 
 def _cmd_generators(args) -> int:
-    dims = _parse_dims(_require(args.dims, "--dims"))
+    dims = _as_dims(args.dims.split(","))
     gens = quadric_generators(dims)
     payload = {
         "dims": list(dims),
@@ -146,33 +124,32 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_ybe(args) -> int:
-    r, dim = _resolve_r_source(args)
+    r, dim = _resolve_r_source(args, 3)
     # The algebraic residual of swap @ R is the braided residual of R
     # (check_algebraic_yang_baxter), so --form only labels the payload.
-    report = check_yang_baxter(r, dim, args.tol)
+    report = _ybe(r, dim, args.tol)
     serialize.emit_json(serialize.ybe_to_payload(report, dim, args.form), args.output)
     return 0 if report.passed else 1
 
 
 def _cmd_braid(args) -> int:
-    r, dim = _resolve_r_source(args)
-    report = check_braid_relations(r, dim, args.strands, args.tol)
+    r, dim = _resolve_r_source(args, args.strands)
+    report = _relations(r, dim, args.strands, args.tol)
     serialize.emit_json(serialize.relations_to_payload(report), args.output)
     return 0 if report.passed else 1
 
 
 def _cmd_random(args) -> int:
-    dims = _parse_dims(_require(args.dims, "--dims"))
-    tensor = random_phases(dims, _require(args.seed, "--seed"))
+    tensor = random_phases(args.dims.split(","), args.seed)
     serialize.emit_json(serialize.tensor_to_payload(tensor), args.output)
     return 0
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
-    return value
+    try:
+        return _as_tol(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _add_output(p) -> None:
@@ -258,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ResourceLimitError, json.JSONDecodeError, OSError) as exc:
+    except (InputError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,12 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .segre import (
-    DEFAULT_SEPARABILITY_TOL,
-    SeparabilityVerdict,
-    is_fully_separable,
-)
-from .tensorops import CoefficientTensor, StateVector
+from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
+from .tensorops import CoefficientTensor, StateVector, _as_tol
 
 
 class Convention(str, enum.Enum):
@@ -131,13 +127,6 @@ def _entangler_pattern(n: int) -> np.ndarray:
     return cols
 
 
-def _uniform_dim(tensor: CoefficientTensor) -> int:
-    first = tensor.dims[0]
-    if any(d != first for d in tensor.dims):
-        raise InputError(f"entangler construction needs uniform dims, got {tensor.dims}")
-    return first
-
-
 def construct_entangler(
     tensor: CoefficientTensor, convention=Convention.THEOREM
 ) -> MonomialGateMatrix:
@@ -149,7 +138,8 @@ def construct_entangler(
     ``theorem``).
     """
     convention = as_convention(convention)
-    _uniform_dim(tensor)
+    if len(set(tensor.dims)) > 1:
+        raise InputError(f"entangler construction needs uniform dims, got {tensor.dims}")
     n = tensor.size
     if n < 2:
         raise InputError("entangler needs at least 2 basis states")
@@ -219,16 +209,17 @@ def certify_entangler(
     Under ``theorem`` the values are the coefficients bit for bit, so one
     scan serves both (``entangling is coefficient_verdict``); under
     ``paper-matrix`` the values get their own scan, and the verdicts can
-    diverge.
+    diverge. Both tolerances must be finite and positive.
     """
     convention = as_convention(convention)
+    unitary_tol, separability_tol = _as_tol(unitary_tol), _as_tol(separability_tol)
     values = construct_entangler(tensor, convention).value_of_row
     residual = float(np.max(np.abs(values.real**2 + values.imag**2 - 1.0)))
-    coefficient_verdict = is_fully_separable(tensor, separability_tol)
+    coefficient_verdict = _verdict(tensor, separability_tol)
     if convention is Convention.THEOREM:
         entangling = coefficient_verdict
     else:
-        entangling = is_fully_separable(CoefficientTensor(tensor.dims, values), separability_tol)
+        entangling = _verdict(CoefficientTensor(tensor.dims, values), separability_tol)
     return EntanglerReport(
         convention=convention,
         unitary=residual <= unitary_tol,

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import (
-    CoefficientTensor,
-    _as_dims,
-    _check_digits,
-    flatten_mode,
-)
+from .tensorops import CoefficientTensor, _as_dims, _as_tol, _check_digits, flatten_mode
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -250,8 +245,11 @@ def is_fully_separable(
     ``max_violation``. A shape with at most one slot of size above 1 has no
     generators; its tensors are separable with ``max_violation`` 0.0.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    return _verdict(tensor, _as_tol(tol))
+
+
+def _verdict(tensor: CoefficientTensor, tol: float) -> SeparabilityVerdict:
+    """:func:`is_fully_separable` with a checked tolerance."""
     e = _nonzero_normalized(tensor)
     ka, la, kp, lp = _generator_table(tensor.dims)
     best, worst = 0, 0.0
@@ -273,8 +271,11 @@ def rank1_oracle(tensor: CoefficientTensor, tol: float = DEFAULT_SEPARABILITY_TO
     is at most ``tol`` times the first. Shares no code path with the quadric
     scan beyond the flattening itself.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    return _rank1(tensor, _as_tol(tol))
+
+
+def _rank1(tensor: CoefficientTensor, tol: float) -> bool:
+    """:func:`rank1_oracle` with a checked tolerance."""
     if not np.any(tensor.entries):
         raise InputError("zero tensor is not a valid projective point")
     for slot in range(1, tensor.n_slots + 1):

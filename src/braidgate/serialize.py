@@ -34,7 +34,10 @@ def _parse_pair(obj, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         raise InputError(f"{where}: expected a [re, im] number pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    try:
+        return complex(float(obj[0]), float(obj[1]))
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise InputError(f"{where}: number too large for a float") from exc
 
 
 def tensor_to_payload(tensor: CoefficientTensor) -> dict:
@@ -141,7 +144,10 @@ def relations_to_payload(report: BraidRelationReport) -> dict:
 
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad syntax, UTF-8, depth or integer
+            raise InputError(str(exc)) from exc
 
 
 def emit_json(payload, path: str | None = None) -> None:

@@ -41,6 +41,13 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _as_tol(tol) -> float:
+    """A tolerance as a float: finite and above zero, else :class:`InputError`."""
+    if not 0.0 < float(tol) < math.inf:
+        raise InputError(f"tolerance must be finite and positive, got {tol}")
+    return float(tol)
+
+
 def _check_digits(digits, dims: tuple[int, ...]) -> tuple[int, ...]:
     """Check a 1-based multi-index against ``dims`` and return it as a tuple.
 
@@ -128,7 +135,7 @@ class CoefficientTensor:
 
     def at(self, digits) -> complex:
         """Entry at a 1-based multi-index."""
-        return complex(self.entries[lex_index(digits, self.dims) - 1])
+        return complex(self.as_array()[tuple(d - 1 for d in _check_digits(digits, self.dims))])
 
 
 def random_phases(dims, seed: int) -> CoefficientTensor:
@@ -140,11 +147,9 @@ def random_phases(dims, seed: int) -> CoefficientTensor:
     seed = int(seed)
     if seed < 0:
         raise InputError("seed must be a non-negative integer")
-    rng = np.random.default_rng(seed)
-    tensor_dims = tuple(int(d) for d in dims)
-    size = math.prod(tensor_dims) if tensor_dims else 0
-    theta = rng.uniform(0.0, 2.0 * np.pi, size)
-    return CoefficientTensor(tensor_dims, np.exp(1j * theta))
+    dims = _as_dims(dims)
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, math.prod(dims))
+    return CoefficientTensor(dims, np.exp(1j * theta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,18 +160,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = _as_dims(self.dims)
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != math.prod(dims):
-            raise InputError(
-                f"{amps.size} amplitudes incompatible with dims {dims} "
-                f"(expected {math.prod(dims)})"
-            )
-        if not np.isfinite(amps).all():
-            raise InputError("amplitudes contain non-finite values")
-        amps.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
+        # the amplitudes pass the coefficient tensor's dims and values check
+        tensor = CoefficientTensor(self.dims, self.amplitudes)
+        object.__setattr__(self, "dims", tensor.dims)
+        object.__setattr__(self, "amplitudes", tensor.entries)
 
     def to_tensor(self) -> CoefficientTensor:
         return CoefficientTensor(self.dims, self.amplitudes)
@@ -197,6 +194,7 @@ def is_unitary(a, tol: float = 1e-12) -> tuple[bool, float]:
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"unitarity check needs a square matrix, got {a.shape}")
+    tol = _as_tol(tol)
     residual = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
     return residual <= tol, residual
 

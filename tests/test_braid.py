@@ -449,3 +449,79 @@ def test_refusals_come_before_allocation():
             tracemalloc.stop()
         # validating the 16 MB input takes a 1 MB finiteness mask at most
         assert peak < 2 * 2**20
+
+
+def peak_of(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_overflowing_products_are_an_input_error():
+    # max(0.0, nan) is 0.0: the residual of this R once read 0.0, passed
+    x = 1e103 * np.random.default_rng(0).normal(size=(4, 4))
+    for call in (
+        lambda: check_yang_baxter(x),
+        lambda: check_algebraic_yang_baxter(x),
+        lambda: check_braid_relations(x, 2, 3),
+    ):
+        with pytest.raises(InputError, match="overflow"):
+            call()
+    unscaled = check_yang_baxter(x / 1e103)
+    assert 6.8 < unscaled.residual < 6.9 and not unscaled.passed
+
+
+def test_strand_count_is_bounded_for_dimension_one():
+    one = np.ones((1, 1))
+    assert len(check_braid_relations(one, 1, 13).checks) == 55 + 11
+    for call in (
+        lambda: check_braid_relations(one, 1, 14),
+        lambda: check_braid_relations(one, 1, 3000),
+        lambda: evaluate_braid_word(BraidWord(14, (1,)), one, 1),
+        lambda: braid_generator_rep(one, 1, 14, 1),
+    ):
+        with pytest.raises(ResourceLimitError, match=r"^representation size 1\*\*\d+ exceeds cap"):
+            call()
+    # the message names the size without computing it
+    with pytest.raises(ResourceLimitError, match=r"^representation size 3\*\*10000 exceeds"):
+        check_braid_relations(swap_gate(3), 3, 10000)
+    with pytest.raises(ResourceLimitError, match=r"^representation size 17\*\*3 exceeds cap 4096$"):
+        check_yang_baxter(np.eye(17 * 17), 17)
+
+
+def test_empty_or_negative_factor_dimension_is_an_input_error():
+    with pytest.raises(InputError):
+        check_yang_baxter(np.zeros((0, 0)))
+    with pytest.raises(InputError):
+        check_yang_baxter(np.eye(4), -2)
+    # a numpy integer dim is a Python int before any power is taken
+    with pytest.raises(ResourceLimitError, match=r"^representation size 29\*\*13 exceeds"):
+        evaluate_braid_word(BraidWord(13, (1,)), np.eye(841), np.int64(29))
+
+
+def test_phase_swaps_above_the_two_strand_cap_are_refused_before_allocating():
+    for call in (
+        lambda: r_from_phase_matrix(np.ones((65, 65))),
+        lambda: swap_gate(65),
+        lambda: swap_gate(1000),
+    ):
+        _, peak = peak_of(lambda: pytest.raises(ResourceLimitError, call))
+        assert peak < 2**20
+    assert r_from_phase_matrix(np.ones((64, 64))).shape == (4096, 4096)
+
+
+def test_braid_word_is_written_back_into_one_buffer():
+    word = BraidWord(10, (1, 5, 9, -3, -1))
+    r = gaussian_matrix(4, np.random.default_rng(82))
+    r_inv = np.linalg.inv(r)
+    out, peak = peak_of(lambda: evaluate_braid_word(word, r, 2))
+    ref = np.eye(2**10, dtype=np.complex128)
+    for letter in word.letters:
+        ref = _apply_on_strands_right(ref, r if letter > 0 else r_inv, 2, abs(letter))
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    # the result alone is 16 MB; one product per letter held 32 MB
+    assert peak < 24 * 2**20

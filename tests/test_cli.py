@@ -10,14 +10,29 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidgate
 import braidgate.cli as cli_module
 import braidgate.entangler as entangler_module
-from braidgate import pattern_permutation, phase_gate, random_phases
+from braidgate import (
+    CoefficientTensor,
+    is_fully_separable,
+    pattern_permutation,
+    phase_gate,
+    random_phases,
+)
 from braidgate.cli import main
 from braidgate.segre import _generator_table
-from braidgate.serialize import matrix_to_payload, monomial_to_payload, tensor_from_payload
+from braidgate.serialize import (
+    matrix_from_payload,
+    matrix_to_payload,
+    monomial_to_payload,
+    tensor_from_payload,
+    tensor_to_payload,
+    verdict_to_payload,
+)
 
 BELL_PAYLOAD = {"dims": [2, 2], "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
 # (1,1,2) (x) (1,1,1) as a flat lex-ordered tensor
@@ -430,3 +445,126 @@ def test_library_does_not_import_cli():
     proc = run_python("-c", "import sys, braidgate; print('braidgate.cli' in sys.modules)")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys):
+    # --tol nan once called this product state entangled and printed NaN
+    path = write_json(tmp_path, "product.json",
+                      {"dims": [2, 2], "entries": [[1, 0], [2, 0], [3, 0], [6, 0]]})
+    for tol in ("nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["separability", "--input", path, f"--tol={tol}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tolerance must be finite and positive" in captured.err
+    code, out, _ = run_cli(capsys, "separability", "--input", path, "--tol", "1e-9")
+    assert code == 0 and json.loads(out)["separable"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("ybe", "--phases", "--dims", "40,40", "--seed", "1"),
+    ("braid", "--phases", "--dims", "3,3", "--seed", "1", "--strands", "10000"),
+    ("braid", "--phases", "--dims", "65,65", "--seed", "1", "--strands", "2"),
+])
+def test_phases_are_refused_before_r_is_built(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: representation size") and err.count("\n") == 1
+    assert peak < 2**20
+
+
+def test_braid_command_bounds_the_strands_of_a_one_by_one_r(tmp_path, capsys):
+    path = write_json(tmp_path, "one.json", {"rows": [[[1, 0]]]})
+    code, out, _ = run_cli(capsys, "braid", "--input", path, "--strands", "13")
+    assert code == 0 and len(json.loads(out)["relations"]) == 66
+    code, out, err = run_cli(capsys, "braid", "--input", path, "--strands", "14")
+    assert code == 2 and out == ""
+    assert err == "error: representation size 1**14 exceeds cap 4096\n"
+
+
+def test_overflowing_r_exits_two_without_numpy_warnings(tmp_path):
+    x = 1e103 * np.random.default_rng(0).normal(size=(4, 4))
+    path = write_json(tmp_path, "huge.json", matrix_to_payload(x))
+    for command in ("ybe", "braid"):
+        proc = run_python("-m", "braidgate.cli", command, "--input", path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: the Yang-Baxter products of R overflow\n"
+
+
+def test_unreadable_json_numbers_and_bytes_exit_two(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    files = {
+        "entries.json": '{"dims": [2], "entries": [[%s, 0], [1, 0]]}' % huge,
+        "rows.json": '{"rows": [[[1, 0], [0, 0]], [[0, %s], [1, 0]]]}' % huge,
+        "digits.json": '{"rows": [[[%s, 0]]]}' % ("7" * 5000),
+        "deep.json": "[" * 100_000 + "]" * 100_000,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "bytes.json").write_bytes(b'{"dims": [1], "entries": [[1, 0]]}\xff')
+    for argv in (
+        ("separability", "--input", str(tmp_path / "entries.json")),
+        ("ybe", "--input", str(tmp_path / "rows.json")),
+        ("ybe", "--input", str(tmp_path / "digits.json")),
+        ("ybe", "--input", str(tmp_path / "deep.json")),
+        ("construct", "--input", str(tmp_path / "bytes.json")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    _, _, err = run_cli(capsys, "separability", "--input", str(tmp_path / "entries.json"))
+    assert err == "error: entries[0]: number too large for a float\n"
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def flat_tensors(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    pairs = draw(st.lists(st.tuples(finite, finite), min_size=math.prod(dims),
+                          max_size=math.prod(dims)))
+    return CoefficientTensor(dims, np.array([complex(re, im) for re, im in pairs]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_tensors())
+def test_tensor_and_matrix_json_round_trips_are_bit_identical(tensor):
+    text = json.dumps(tensor_to_payload(tensor), indent=2)
+    back = tensor_from_payload(json.loads(text))
+    assert back.dims == tensor.dims and same_bits(back.entries, tensor.entries)
+    matrix = tensor.entries.reshape(tensor.dims[0], -1)
+    back = matrix_from_payload(json.loads(json.dumps(matrix_to_payload(matrix), indent=2)))
+    assert same_bits(back, matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-9, 1.0]), st.integers(-60, 60))
+def test_verdict_json_round_trip_is_bit_identical(dims, seed, noise, exponent):
+    rng = np.random.default_rng(seed)
+    vectors = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+    arr = np.multiply.outer(vectors[0], vectors[1])
+    for v in vectors[2:]:
+        arr = np.multiply.outer(arr, v)
+    arr = 2.0**exponent * (arr + noise * rng.normal(size=arr.shape))
+    verdict = is_fully_separable(CoefficientTensor.from_array(arr))
+    payload = json.loads(json.dumps(verdict_to_payload(verdict, True), indent=2))
+    assert payload["max_violation"].hex() == verdict.max_violation.hex()
+    assert payload["tolerance"].hex() == verdict.tolerance_used.hex()
+    assert payload["separable"] is verdict.separable
+    if verdict.witness is None:
+        assert payload["witness"] is None
+    else:
+        w = verdict.witness
+        assert payload["witness"] == {"j": w.slot, "k": list(w.k), "l": list(w.l)}

@@ -1,5 +1,6 @@
 """Quadric generators, separability verdicts, and the rank-1 oracle."""
 
+import functools
 import itertools
 import tracemalloc
 
@@ -442,3 +443,29 @@ def test_verdict_matches_direct_evaluation(t):
         assert abs(abs(evaluate_quadric(verdict.witness, normalized)) - verdict.max_violation) <= ulps
     if not verdict.marginal:
         assert verdict.separable == rank1_oracle(t)
+
+
+entry = st.floats(-10, 10, allow_subnormal=False)
+factors = st.lists(st.tuples(entry, entry), min_size=1, max_size=4).map(
+    lambda pairs: [complex(re, im) for re, im in pairs]).filter(any)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(factors, min_size=1, max_size=4))
+def test_segre_map_outputs_are_separable(vectors):
+    tensor = segre_map(vectors)
+    assert is_fully_separable(tensor).separable
+    assert rank1_oracle(tensor)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1.0]))
+def test_quadric_verdict_matches_the_oracle_outside_the_marginal_band(dims, seed, noise):
+    rng = np.random.default_rng(seed)
+    product = functools.reduce(
+        np.multiply.outer, [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims])
+    tensor = CoefficientTensor.from_array(product + noise * rng.normal(size=product.shape))
+    verdict = is_fully_separable(tensor)
+    if not verdict.marginal:
+        assert rank1_oracle(tensor) == verdict.separable

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidgate.segre as segre_module
 import braidgate.tensorops as tensorops_module
@@ -14,12 +16,15 @@ from braidgate import (
     InputError,
     QuadricGenerator,
     ResourceLimitError,
+    StateVector,
     digit_complement,
+    evaluate_quadric,
     flatten_mode,
     is_unitary,
     kron,
     lex_index,
     multi_index,
+    random_phases,
     uniform_product_state,
 )
 
@@ -224,3 +229,39 @@ def test_coefficient_tensor_validation():
     assert t.as_array().shape == (2, 3)
     with pytest.raises(ValueError):
         t.entries[0] = 5.0  # frozen storage
+
+
+@st.composite
+def shapes_and_digits(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+    return dims, tuple(draw(st.integers(1, n)) for n in dims), draw(st.integers(1, math.prod(dims)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes_and_digits())
+def test_lex_index_and_multi_index_invert_each_other(case):
+    dims, digits, rank = case
+    assert multi_index(lex_index(digits, dims), dims) == digits
+    assert lex_index(multi_index(rank, dims), dims) == rank
+
+
+def test_entry_lookup_does_not_check_dims_again(monkeypatch):
+    tensor = CoefficientTensor((2, 3), np.arange(6))
+    gen = QuadricGenerator(1, (1, 1), (2, 2), (2, 3))
+    calls = []
+    for module in (tensorops_module, segre_module):
+        monkeypatch.setattr(module, "_as_dims", calls.append)
+    assert tensor.at((2, 3)) == 5
+    assert evaluate_quadric(gen, tensor) == 0 * 4 - 3 * 1
+    assert calls == []
+    with pytest.raises(InputError, match="^digit 4 at slot 2 outside 1..3$"):
+        tensor.at((1, 4))
+
+
+def test_states_and_random_tensors_share_the_tensor_checks():
+    with pytest.raises(InputError, match="^3 entries incompatible with dims"):
+        StateVector((2, 2), [1, 2, 3])
+    with pytest.raises(InputError, match="^tensor entries contain non-finite values$"):
+        StateVector((2,), [1, np.inf])
+    with pytest.raises(InputError, match="^dims must be non-empty and positive"):
+        random_phases((2, -1), 1)
