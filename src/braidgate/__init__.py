@@ -55,7 +55,6 @@ from .tensorops import (
     lex_index,
     multi_index,
     random_phases,
-    uniform_product_state,
 )
 
 __version__ = "0.1.0"
@@ -98,5 +97,4 @@ __all__ = [
     "segre_map",
     "swap_gate",
     "to_algebraic",
-    "uniform_product_state",
 ]

@@ -93,15 +93,15 @@ def _operator(r, dim: int | None) -> tuple[np.ndarray, int]:
     return r, int(dim)
 
 
-def _check_strands(dim: int, n_strands: int, max_dim: int = REP_DIM_CAP) -> int:
-    """dim**n_strands, refused below 2 strands or above ``max_dim``; over
-    ``max_dim.bit_length()`` strands (too many for any dim >= 2, and the bound
-    for dim 1) are refused before dim**n_strands is computed."""
+def _check_strands(dim: int, n_strands: int) -> int:
+    """dim**n_strands, refused below 2 strands or above ``REP_DIM_CAP``; over
+    ``REP_DIM_CAP.bit_length()`` strands (too many for any dim >= 2, and the
+    bound for dim 1) are refused before dim**n_strands is computed."""
     n_strands = int(n_strands)
     if n_strands < 2:
         raise InputError("need at least 2 strands")
-    if n_strands > int(max_dim).bit_length() or dim**n_strands > max_dim:
-        raise ResourceLimitError(f"representation size {dim}**{n_strands} exceeds cap {max_dim}")
+    if n_strands > REP_DIM_CAP.bit_length() or dim**n_strands > REP_DIM_CAP:
+        raise ResourceLimitError(f"representation size {dim}**{n_strands} exceeds cap {REP_DIM_CAP}")
     return dim**n_strands
 
 
@@ -216,16 +216,14 @@ def check_algebraic_yang_baxter(
     return _ybe(_swap_rows(x, dim), dim, _as_tol(tol))
 
 
-def braid_generator_rep(
-    r, dim: int, n_strands: int, i: int, max_dim: int = REP_DIM_CAP
-) -> np.ndarray:
+def braid_generator_rep(r, dim: int, n_strands: int, i: int) -> np.ndarray:
     """tau(b_i) on n strands: identities around R at factors i, i+1.
 
     R's entries are written into the result's blocks, with no arithmetic,
     so the only dim**n_strands square allocation is the result itself.
     """
     r, dim = _operator(r, dim)
-    total = _check_strands(dim, n_strands, max_dim)
+    total = _check_strands(dim, n_strands)
     n_strands = int(n_strands)
     if not 1 <= i <= n_strands - 1:
         raise InputError(f"generator index {i} outside 1..{n_strands - 1}")
@@ -236,9 +234,7 @@ def braid_generator_rep(
     return out.reshape(total, total)
 
 
-def evaluate_braid_word(
-    word: BraidWord, r, dim: int, max_dim: int = REP_DIM_CAP
-) -> np.ndarray:
+def evaluate_braid_word(word: BraidWord, r, dim: int) -> np.ndarray:
     """Ordered product of tau(b_i)^(+-1) over the word's letters.
 
     The first letter is the leftmost factor. Starting from the identity,
@@ -246,10 +242,10 @@ def evaluate_braid_word(
     costs O(dim**(2 n_strands + 2)) per letter; no generator matrix is
     built; each letter is written back into the one result buffer in chunks
     of isqrt(size) rows, since a row of the product depends on that row only.
-    R must be invertible; exact singularity is an input error.
+    R must be invertible; exact singularity or overflow is an input error.
     """
     r, dim = _operator(r, dim)
-    total = _check_strands(dim, word.n_strands, max_dim)
+    total = _check_strands(dim, word.n_strands)
     r_inv = None
     if any(x < 0 for x in word.letters):
         try:
@@ -263,16 +259,15 @@ def evaluate_braid_word(
         factor = r if letter > 0 else r_inv
         for start in range(0, total, step):
             rows = slice(start, start + step)
-            out[rows] = _apply_on_strands_right(out[rows], factor, dim, abs(letter))
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[rows] = _apply_on_strands_right(out[rows], factor, dim, abs(letter))
+            if not np.isfinite(out[rows]).all():
+                raise InputError("the braid word's products of R overflow")
     return out
 
 
 def check_braid_relations(
-    r,
-    dim: int,
-    n_strands: int,
-    tol: float = DEFAULT_YBE_TOL,
-    max_dim: int = REP_DIM_CAP,
+    r, dim: int, n_strands: int, tol: float = DEFAULT_YBE_TOL
 ) -> BraidRelationReport:
     """Residuals of the two Artin relations in the strand representation.
 
@@ -280,11 +275,11 @@ def check_braid_relations(
     R since the supports are disjoint. Each braid relation
     b_i b_{i+1} b_i = b_{i+1} b_i b_{i+1} is the YBE padded with identities,
     which keep the largest absolute entry, so it carries the
-    :func:`check_yang_baxter` residual. ``max_dim`` caps dim**n_strands,
+    :func:`check_yang_baxter` residual. ``REP_DIM_CAP`` caps dim**n_strands,
     and with it the YBE check and the number of relations reported.
     """
     r, dim = _operator(r, dim)
-    _check_strands(dim, n_strands, max_dim)
+    _check_strands(dim, n_strands)
     return _relations(r, dim, int(n_strands), _as_tol(tol))
 
 

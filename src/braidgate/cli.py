@@ -19,7 +19,6 @@ from .entangler import (
     Convention,
     _phase_gate_of,
     apply_entangler,
-    as_convention,
     construct_entangler,
     pattern_permutation,
 )
@@ -63,7 +62,7 @@ def _resolve_r_source(args, n_strands: int) -> tuple[np.ndarray, int]:
             raise InputError(
                 f"an entangler used as R needs exactly 2 slots, got {tensor.n_slots}"
             )
-        gate = construct_entangler(tensor, as_convention(args.convention))
+        gate = construct_entangler(tensor, args.convention)
         _check_strands(tensor.dims[0], n_strands)
         return gate.dense(), tensor.dims[0]
     r, dim = _operator(serialize.matrix_from_payload(payload), None)
@@ -73,10 +72,9 @@ def _resolve_r_source(args, n_strands: int) -> tuple[np.ndarray, int]:
 
 def _cmd_construct(args) -> int:
     tensor = _load_tensor(args.input)
-    convention = as_convention(args.convention)
-    gate = construct_entangler(tensor, convention)
+    gate = construct_entangler(tensor, args.convention)
     payload = {
-        "convention": convention.value,
+        "convention": args.convention,
         "n": gate.n,
         "R": serialize.monomial_to_payload(gate),
         "P": serialize.monomial_to_payload(pattern_permutation(gate.n)),
@@ -88,7 +86,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_entangle(args) -> int:
     tensor = _load_tensor(args.input)
-    state = apply_entangler(tensor, as_convention(args.convention))
+    state = apply_entangler(tensor, args.convention)
     serialize.emit_json(serialize.state_to_payload(state), args.output)
     return 0
 
@@ -156,17 +154,17 @@ def _add_output(p) -> None:
     p.add_argument("--output", metavar="FILE", help="write JSON here instead of stdout")
 
 
+def _add_convention(p, help=None) -> None:
+    choices = [c.value for c in Convention]  # the library converts the checked value
+    p.add_argument("--convention", default=Convention.THEOREM.value, choices=choices, help=help)
+
+
 def _add_r_source(p) -> None:
     p.add_argument("--input", metavar="FILE", help="tensor file (entangler) or matrix file")
     p.add_argument("--phases", action="store_true", help="seeded unimodular phase matrix as R")
     p.add_argument("--dims", help="comma-separated dims, e.g. 3,3 (with --phases)")
     p.add_argument("--seed", type=int, help="seed for --phases")
-    p.add_argument(
-        "--convention",
-        default=Convention.THEOREM.value,
-        choices=[c.value for c in Convention],
-        help="antidiagonal fill order when --input is a tensor file",
-    )
+    _add_convention(p, "antidiagonal fill order when --input is a tensor file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,21 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit R, P, and tau for a coefficient tensor")
     p.add_argument("--input", required=True, metavar="FILE", help="tensor JSON file")
-    p.add_argument(
-        "--convention",
-        default=Convention.THEOREM.value,
-        choices=[c.value for c in Convention],
-    )
+    _add_convention(p)
     _add_output(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("entangle", help="apply R to the uniform product state")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument(
-        "--convention",
-        default=Convention.THEOREM.value,
-        choices=[c.value for c in Convention],
-    )
+    _add_convention(p)
     _add_output(p)
     p.set_defaults(func=_cmd_entangle)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import CoefficientTensor, _as_dims, _as_tol, _check_digits, flatten_mode
+from .tensorops import CoefficientTensor, _as_dims, _as_tol, _check_digits, _check_size, flatten_mode
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -293,11 +293,14 @@ def segre_map(factors) -> CoefficientTensor:
 
     The result is on-variety by construction: every quadric generator
     evaluates to zero up to rounding. Each factor must be nonzero
-    (projective points exclude the origin).
+    (projective points exclude the origin). Products over ``TENSOR_SIZE_CAP``
+    entries are refused before they are formed, and overflow is an input
+    error. A product below the normal range is formed instead from the
+    factors scaled by powers of two: the same projective point, in range.
     """
     vecs = []
     for pos, f in enumerate(factors, start=1):
-        v = np.asarray(f, dtype=np.complex128).reshape(-1)
+        v = np.ascontiguousarray(f, dtype=np.complex128).reshape(-1)
         if v.size == 0 or not np.any(v):
             raise InputError(f"factor {pos} is zero; not a projective point")
         if not np.isfinite(v).all():
@@ -305,5 +308,11 @@ def segre_map(factors) -> CoefficientTensor:
         vecs.append(v)
     if not vecs:
         raise InputError("need at least one factor")
-    out = functools.reduce(np.multiply.outer, vecs)
+    _check_size(tuple(v.size for v in vecs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = functools.reduce(np.multiply.outer, vecs)
+    if np.max(np.abs(out.view(np.float64))) < np.finfo(np.float64).tiny:
+        parts = [v.view(np.float64) for v in vecs]
+        scaled = [np.ldexp(p, -np.frexp(np.max(np.abs(p)))[1]).view(np.complex128) for p in parts]
+        out = functools.reduce(np.multiply.outer, scaled)
     return CoefficientTensor.from_array(out)

@@ -21,6 +21,9 @@ from .errors import InputError, ResourceLimitError
 # Dense Kronecker products beyond this row/column count are refused.
 KRON_DIM_CAP = 10_000
 
+# Tensors drawn or multiplied out beyond this many entries (256 MiB of complex128) are refused.
+TENSOR_SIZE_CAP = 2**24
+
 
 def _as_dims(dims) -> tuple[int, ...]:
     try:
@@ -30,6 +33,12 @@ def _as_dims(dims) -> tuple[int, ...]:
     if not out or any(d < 1 for d in out):
         raise InputError(f"dims must be non-empty and positive, got {out}")
     return out
+
+
+def _check_size(dims: tuple[int, ...]) -> None:
+    """Refuse a tensor of ``dims`` over ``TENSOR_SIZE_CAP`` entries, before it is built."""
+    if math.prod(dims) > TENSOR_SIZE_CAP:
+        raise ResourceLimitError(f"tensor of dims {dims} exceeds cap {TENSOR_SIZE_CAP} entries")
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -148,6 +157,7 @@ def random_phases(dims, seed: int) -> CoefficientTensor:
     if seed < 0:
         raise InputError("seed must be a non-negative integer")
     dims = _as_dims(dims)
+    _check_size(dims)
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, math.prod(dims))
     return CoefficientTensor(dims, np.exp(1j * theta))
 
@@ -169,33 +179,34 @@ class StateVector:
         return CoefficientTensor(self.dims, self.amplitudes)
 
 
-def uniform_product_state(dims) -> StateVector:
-    """The unnormalized product state with every amplitude equal to 1."""
-    dims = _as_dims(dims)
-    return StateVector(dims, np.ones(math.prod(dims), dtype=np.complex128))
-
-
-def kron(a, b, max_dim: int = KRON_DIM_CAP) -> np.ndarray:
-    """Kronecker product of two dense matrices, size-capped."""
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two dense matrices, size-capped; overflow is an input error."""
     a = _as_matrix(a, "left factor")
     b = _as_matrix(b, "right factor")
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if rows > max_dim or cols > max_dim:
-        raise ResourceLimitError(f"kron result {rows}x{cols} exceeds cap {max_dim}x{max_dim}")
-    return np.kron(a, b)
+    if rows > KRON_DIM_CAP or cols > KRON_DIM_CAP:
+        raise ResourceLimitError(f"kron result {rows}x{cols} exceeds cap {KRON_DIM_CAP}x{KRON_DIM_CAP}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.kron(a, b)
+    if not np.isfinite(out).all():
+        raise InputError("the Kronecker product overflows")
+    return out
 
 
 def is_unitary(a, tol: float = 1e-12) -> tuple[bool, float]:
     """Whether ``a`` is unitary within ``tol``; returns (flag, residual).
 
-    The residual is the max-abs entry of ``a^H a - I``.
+    The residual is the max-abs entry of ``a^H a - I``; overflow there is an input error.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"unitarity check needs a square matrix, got {a.shape}")
     tol = _as_tol(tol)
-    residual = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+    if not math.isfinite(residual):
+        raise InputError("the unitarity product of the matrix overflows")
     return residual <= tol, residual
 
 

@@ -475,6 +475,16 @@ def test_overflowing_products_are_an_input_error():
     assert 6.8 < unscaled.residual < 6.9 and not unscaled.passed
 
 
+def test_overflowing_braid_words_are_an_input_error():
+    word = BraidWord(3, (1, 2, 1))
+    with pytest.raises(InputError, match="overflow"):
+        evaluate_braid_word(word, 1e200 * swap_gate(2), 2)
+    # three letters of 1e100 reach 1e300: finite, and the swap word's pattern
+    out = evaluate_braid_word(word, 1e100 * swap_gate(2), 2)
+    assert np.isfinite(out).all()
+    assert np.array_equal(out != 0, evaluate_braid_word(word, swap_gate(2), 2) != 0)
+
+
 def test_strand_count_is_bounded_for_dimension_one():
     one = np.ones((1, 1))
     assert len(check_braid_relations(one, 1, 13).checks) == 55 + 11

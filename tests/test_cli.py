@@ -478,6 +478,27 @@ def test_phases_are_refused_before_r_is_built(capsys, argv):
     assert peak < 2**20
 
 
+def test_random_refuses_an_oversized_tensor_before_drawing(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "random", "--dims", "10000000,10000000", "--seed", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: tensor of dims (10000000, 10000000) exceeds cap 16777216 entries\n"
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("command", ["construct", "entangle", "ybe", "braid"])
+def test_every_convention_flag_takes_the_same_values(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", "unused.json", "--convention", "paper"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'paper'" in err and "paper-matrix" in err and "theorem" in err
+
+
 def test_braid_command_bounds_the_strands_of_a_one_by_one_r(tmp_path, capsys):
     path = write_json(tmp_path, "one.json", {"rows": [[[1, 0]]]})
     code, out, _ = run_cli(capsys, "braid", "--input", path, "--strands", "13")

@@ -154,6 +154,26 @@ def test_segre_map_examples():
         segre_map([])
 
 
+def test_segre_map_overflow_is_an_input_error():
+    with pytest.raises(InputError, match="non-finite"):
+        segre_map([[1e200, 1], [1e200, 1]])
+    assert segre_map([[1e200, 1], [1e100, 1]]).entries[0] == 1e200 * 1e100
+
+
+def test_segre_map_below_the_normal_range_keeps_its_projective_point():
+    # the product of these factors is 1.6e-448, and 0.0 would be no projective point
+    t = segre_map([[8.492220947179843e-184j], [1.8666042579713092e-265j]])
+    assert t.entries[0].real < 0 and abs(t.entries[0]) >= np.finfo(np.float64).tiny
+    # a product in the subnormal range would lose bits: it is formed from the
+    # factors scaled into the normal range, exact up to one power of two
+    u, v = np.array([1e-160, 1.3e-160]), np.array([1e-160, 1.7e-160j])
+    t = segre_map([u, v])
+    in_range = np.multiply.outer(2.0**600 * u, 2.0**600 * v).reshape(-1)
+    ratio = t.entries[0].real / in_range[0].real
+    assert np.frexp(ratio)[0] == 0.5 and np.array_equal(t.entries, ratio * in_range)
+    assert is_fully_separable(t).separable and rank1_oracle(t)
+
+
 def test_segre_map_output_is_on_variety():
     rng = np.random.default_rng(21)
     for _ in range(20):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from braidgate import (
     lex_index,
     multi_index,
     random_phases,
-    uniform_product_state,
+    segre_map,
 )
 
 ALL_DIMS = [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2, 3, 4), (10, 10, 10, 10)]
@@ -151,7 +152,36 @@ def test_kron_mixed_product_with_vectors():
 
 def test_kron_size_cap():
     with pytest.raises(ResourceLimitError):
-        kron(np.eye(200), np.eye(200), max_dim=10_000)
+        kron(np.eye(200), np.eye(200))
+
+
+def test_an_overflowing_unitarity_product_is_an_input_error():
+    with pytest.raises(InputError, match="overflow"):
+        is_unitary(1e200 * np.eye(2))
+    assert is_unitary(1e150 * np.eye(2)) == (False, 1e150 * 1e150 - 1.0)
+
+
+def test_an_overflowing_kronecker_product_is_an_input_error():
+    with pytest.raises(InputError, match="overflow"):
+        kron(1e200 * np.eye(2), 1e200 * np.eye(2))
+    assert np.array_equal(kron(1e150 * np.eye(2), 1e150 * np.eye(2)), 1e150 * 1e150 * np.eye(4))
+
+
+def test_oversized_tensors_are_refused_before_allocating():
+    wide = np.ones(10**6, dtype=np.complex128)  # two of them multiply out to 16 TB
+    for call in (
+        lambda: random_phases((10**7, 10**7), 1),
+        lambda: random_phases((2, 2**23 + 1), 1),
+        lambda: segre_map([wide, wide]),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"exceeds cap 16777216 entries$"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_is_unitary():
@@ -209,12 +239,6 @@ def test_flatten_mode_matches_element_access():
         flatten_mode(tensor, 0)
     with pytest.raises(InputError):
         flatten_mode(tensor, 4)
-
-
-def test_uniform_product_state():
-    assert np.array_equal(uniform_product_state((3, 3)).amplitudes, np.ones(9))
-    assert np.array_equal(uniform_product_state((2,)).amplitudes, np.ones(2))
-    assert np.array_equal(uniform_product_state((3, 3, 3)).amplitudes, np.ones(27))
 
 
 def test_coefficient_tensor_validation():
