@@ -4,15 +4,18 @@ The braided Yang-Baxter equation on V (x) V (x) V reads
 
     (R (x) I)(I (x) R)(R (x) I) = (I (x) R)(R (x) I)(I (x) R)
 
-and is verified here by applying both sides to blocks of identity columns.
-Every factor acts on two adjacent strands, so it is applied as one batched
-product with R on the middle axis of the reshaped operand; the padded
-operator I (x) R (x) I is never built. The checker still assumes nothing
-about the structure of the candidate R; the Artin relation and algebraic
-checks reduce to its one residual. Generators of the n-strand braid group
-act by R on adjacent factor pairs, and braid words are multiplied out
-letter by letter the same way. Each public call checks R, the strand count
-and the tolerance once; the private cores behind it take checked inputs.
+and is verified here on blocks of identity columns. On such a block the
+first factor of each side is R's own entries, read rather than multiplied,
+and the second is one product that contracts the one strand the two share.
+Only the last factor is a full product: it acts on two adjacent strands, so
+it is one batched product with R on the middle axis of the reshaped
+operand, and the padded operator I (x) R (x) I is never built. The checker
+still assumes nothing about the structure of the candidate R; the Artin
+relation and algebraic checks reduce to its one residual. Generators of the
+n-strand braid group act by R on adjacent factor pairs, and braid words are
+multiplied out letter by letter the same way. Each public call checks R,
+the strand count and the tolerance once; the private cores behind it take
+checked inputs.
 """
 
 from __future__ import annotations
@@ -155,9 +158,11 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
     """Residual of the braided Yang-Baxter equation for R on C^dim (x) C^dim.
 
     The residual is ``max |R12 R23 R12 - R23 R12 R23|`` over all dim**6
-    entries. Both sides are applied strand-locally to blocks of dim**2
-    identity columns, so the cost is O(dim**8) and the working set
-    O(dim**5); no dim**3 square operator is formed. dim**3 is capped at
+    entries, taken over dim blocks of dim**2 identity columns. On a block
+    the first factor of each side is read from R's entries and the second
+    contracts one strand index; only the last is a full strand-local
+    product. The cost is 2 dim**8 + O(dim**7) multiply-adds and the working
+    set O(dim**5); no dim**3 square operator is formed. dim**3 is capped at
     ``REP_DIM_CAP``, and an R whose products overflow is an input error.
     """
     r, dim = _operator(r, dim)
@@ -166,22 +171,27 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
 
 
 def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
-    """:func:`check_yang_baxter` of a checked R, dim and tolerance."""
+    """:func:`check_yang_baxter` of a checked R, dim and tolerance.
 
-    def r12(m):
-        return _apply_on_strands(r, m, dim, 1)
-
-    def r23(m):
-        return _apply_on_strands(r, m, dim, 2)
-
-    width = dim * dim
+    Block i holds the columns e(i, j', k') for every (j', k'); digits run
+    first-most-significant and R[(a, b), (c, e)] is r4[a, b, c, e].
+    """
+    d = dim
+    r4 = r.reshape(d, d, d, d)
+    # R23's entries R[(m, n), (b, k')] with the contracted b first: (b, m n k')
+    r23_by_b = r4.transpose(2, 0, 1, 3).reshape(d, d**3)
     residual = 0.0
-    for start in range(0, dim**3, width):
-        block = np.zeros((dim**3, width), dtype=np.complex128)
-        np.fill_diagonal(block[start:start + width], 1.0)
+    for i in range(d):
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs = r12(r23(r12(block)))
-            lhs -= r23(r12(r23(block)))
+            # R12 e is R[(a, b), (i, j')] on rows (a, b, k'), so R23 R12 e sums
+            # over b only: rows (a, j'), then one transpose to (a m n, j' k')
+            lhs = r4[:, :, i, :].transpose(0, 2, 1).reshape(d * d, d) @ r23_by_b
+            lhs = lhs.reshape(d, d, d * d, d).transpose(0, 2, 1, 3).reshape(d**3, d * d)
+            lhs = _apply_on_strands(r, lhs, d, 1)
+            # R23 e is R[(n, k), (j', k')] on rows with first digit i, so
+            # R12 R23 e sums over n only, already laid out as (a b k, j' k')
+            rhs = (r[:, i * d:(i + 1) * d] @ r.reshape(d, d**3)).reshape(d**3, d * d)
+            lhs -= _apply_on_strands(r, rhs, d, 2)
             worst = float(np.max(np.abs(lhs)))
         # an overflow leaves inf or nan here, which max() would drop
         if not math.isfinite(worst):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import CoefficientTensor, _as_dims, _as_tol, _check_digits, _check_size, flatten_mode
+from .tensorops import CoefficientTensor, _as_dims, _as_tol, _check_digits, _check_size
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -201,6 +201,19 @@ def evaluate_quadric(gen: QuadricGenerator, tensor: CoefficientTensor) -> comple
     )
 
 
+def _scaled(entries: np.ndarray) -> np.ndarray:
+    """The entries times the power of two that puts their largest real or
+    imaginary part in [0.5, 1): the same projective point, with every
+    modulus and singular value finite, exact unless parts fall below the
+    normal range. The zero tensor is an input error.
+    """
+    parts = entries.view(np.float64)
+    top = float(np.abs(parts).max())
+    if top == 0.0:
+        raise InputError("zero tensor is not a valid projective point")
+    return np.ldexp(parts, -math.frexp(top)[1]).view(np.complex128)
+
+
 def _nonzero_normalized(tensor: CoefficientTensor) -> np.ndarray:
     """Projective representative: max modulus 1, reference entry in ``re > 0, im >= 0``.
 
@@ -208,12 +221,19 @@ def _nonzero_normalized(tensor: CoefficientTensor) -> np.ndarray:
     representatives of ``t`` and ``2**k * 1j**q * t`` agree bit for bit, not
     only in value.
     """
-    modulus = np.abs(tensor.entries)
+    entries = tensor.entries
+    modulus = np.abs(entries)
     first = int(np.argmax(modulus))
     peak = float(modulus[first])
-    if peak == 0.0:
-        raise InputError("zero tensor is not a valid projective point")
-    out = tensor.entries / peak
+    if not 2.0**-1022 <= peak <= 2.0**1022:
+        # numpy divides by multiplying with 1 / peak, which is exact only as
+        # a normal number: zero, subnormal and huge peaks (moduli past the
+        # float range among them) are scaled first
+        entries = _scaled(entries)
+        modulus = np.abs(entries)
+        first = int(np.argmax(modulus))
+        peak = float(modulus[first])
+    out = entries / peak
     ref = out[first]
     if not (ref.real > 0 and ref.imag >= 0):
         if ref.imag > 0:
@@ -269,17 +289,21 @@ def rank1_oracle(tensor: CoefficientTensor, tol: float = DEFAULT_SEPARABILITY_TO
 
     True iff for each slot the second singular value of the mode flattening
     is at most ``tol`` times the first. Shares no code path with the quadric
-    scan beyond the flattening itself.
+    scan beyond :func:`_scaled`: the flattenings are taken from the tensor
+    scaled by a power of two, so entries beyond the float range keep their
+    singular values finite.
     """
     return _rank1(tensor, _as_tol(tol))
 
 
 def _rank1(tensor: CoefficientTensor, tol: float) -> bool:
     """:func:`rank1_oracle` with a checked tolerance."""
-    if not np.any(tensor.entries):
-        raise InputError("zero tensor is not a valid projective point")
-    for slot in range(1, tensor.n_slots + 1):
-        mat = flatten_mode(tensor, slot)
+    arr = _scaled(tensor.entries)
+    for slot, d in enumerate(tensor.dims):
+        # the mode flattening, rows the slot digit and columns the other
+        # digits in lex order, without np.moveaxis's per-call overhead
+        left = math.prod(tensor.dims[:slot])
+        mat = arr.reshape(left, d, -1).transpose(1, 0, 2).reshape(d, -1)
         if min(mat.shape) < 2:
             continue
         s = np.linalg.svd(mat, compute_uv=False)

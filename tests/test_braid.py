@@ -387,7 +387,7 @@ def test_strand_kernel_matches_dense_kronecker_products(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
 def test_ybe_residual_within_four_ulp_of_the_dense_residual(dim, seed, phase_swap):
     rng = np.random.default_rng(seed)
     if phase_swap:
@@ -403,6 +403,22 @@ def test_ybe_residual_within_four_ulp_of_the_dense_residual(dim, seed, phase_swa
     assert report.passed == (ref <= report.tolerance)
 
 
+@st.composite
+def gaussian_integer_operators(draw):
+    dim = draw(st.integers(1, 4))
+    return dim, gaussian_integers(draw, (dim * dim, dim * dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_integer_operators())
+def test_ybe_residual_is_bitwise_the_dense_residual_for_exact_products(case):
+    # Gaussian-integer entries keep every product and sum exact, so reading
+    # the first factors from R and contracting one strand index must give
+    # the dense products' residual bit for bit
+    dim, r = case
+    assert check_yang_baxter(r, dim).residual == dense_ybe_residual(r, dim)
+
+
 def test_ybe_at_dim_twelve_stays_within_forty_megabytes():
     # the dense check held three 1728 x 1728 complex products (over 140 MB)
     r = r_from_phase_matrix(phase_matrix(12, 12))
@@ -414,6 +430,14 @@ def test_ybe_at_dim_twelve_stays_within_forty_megabytes():
         tracemalloc.stop()
     assert report.passed and report.residual < 1e-15
     assert peak < 40 * 2**20
+
+
+def test_ybe_at_the_dim_sixteen_cap_stays_within_ninety_six_megabytes():
+    # the dense check would hold three 4096 x 4096 complex products (768 MB)
+    r = r_from_phase_matrix(phase_matrix(16, 16))
+    report, peak = peak_of(lambda: check_yang_baxter(r, 16))
+    assert report.passed and report.residual < 1e-15
+    assert peak < 96 * 2**20
 
 
 def test_braid_word_with_inverse_letters_matches_dense_products():

@@ -258,6 +258,19 @@ def test_values_too_large_to_square_are_not_unitary():
     assert not report.unitary and report.unitarity_residual == math.inf
 
 
+def test_tensors_beyond_the_float_range_are_certified_entangling():
+    # the separability scan once read the first separable and divided the
+    # second's subnormal peak into an overflow
+    z = 1.5e308 + 1.5e308j
+    for entries in ([z, z, 0, z], [1e-320, 2e-320, 3e-320, 1e-320]):
+        t = CoefficientTensor((2, 2), entries)
+        for conv in ("theorem", "paper-matrix"):
+            report = certify_entangler(t, conv)
+            assert not report.coefficient_verdict.separable
+            assert not report.entangling.separable
+            assert not report.unitary
+
+
 def test_convention_divergence_witness():
     # rank-1 input whose paper-matrix image is entangled
     t = segre_map([(1, 1, 2), (1, 1, 1)])

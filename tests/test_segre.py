@@ -294,6 +294,36 @@ def test_normalization_exact_under_quarter_turns(entries, ref_pos):
         assert np.array_equal(scaled.view(np.uint64), base.view(np.uint64)), lam
 
 
+def test_entries_beyond_the_float_range_are_entangled():
+    # a modulus past the float range read inf and normalized the tensor to
+    # zeros (separable, max_violation 0.0); a subnormal peak overflowed the
+    # division
+    z = 1.5e308 + 1.5e308j
+    for entries, violation in (([z, z, 0, z], 1.0), ([1e-320, 2e-320, 3e-320, 1e-320], 5 / 9)):
+        t = CoefficientTensor((2, 2), entries)
+        verdict = is_fully_separable(t)
+        assert not verdict.separable
+        assert verdict.max_violation == pytest.approx(violation, rel=1e-15)
+        assert verdict.witness == QuadricGenerator(1, (1, 1), (2, 2), (2, 2))
+        assert not rank1_oracle(t)
+
+
+def test_verdicts_are_exact_under_powers_of_two_past_the_float_range():
+    # parts up to 3 * 2**1022 and down to 2**-1060 are exact multiples of the
+    # in-range tensor, so verdicts, maxima and witnesses match it bit for bit
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        parts = rng.integers(-3, 4, size=(2, 8))
+        base = CoefficientTensor((2, 2, 2), parts[0] + 1j * parts[1])
+        if not np.any(base.entries):
+            continue
+        ref = is_fully_separable(base)
+        for k in (1022, -1060):
+            t = CoefficientTensor(base.dims, 2.0**k * base.entries)
+            assert is_fully_separable(t) == ref, k
+            assert rank1_oracle(t) == rank1_oracle(base), k
+
+
 def test_local_relabeling_invariance():
     rng = np.random.default_rng(24)
     for _ in range(10):
