@@ -20,9 +20,7 @@ from .braid import (
     check_braid_relations,
     check_yang_baxter,
     evaluate_braid_word,
-    braid_generator_rep,
     r_from_phase_matrix,
-    swap_gate,
     to_algebraic,
 )
 from .entangler import (
@@ -48,12 +46,9 @@ from .segre import (
 from .tensorops import (
     CoefficientTensor,
     StateVector,
-    digit_complement,
-    flatten_mode,
     is_unitary,
     kron,
     lex_index,
-    multi_index,
     random_phases,
 )
 
@@ -73,21 +68,17 @@ __all__ = [
     "StateVector",
     "YbeReport",
     "apply_entangler",
-    "braid_generator_rep",
     "certify_entangler",
     "check_algebraic_yang_baxter",
     "check_braid_relations",
     "check_yang_baxter",
     "construct_entangler",
-    "digit_complement",
     "evaluate_braid_word",
     "evaluate_quadric",
-    "flatten_mode",
     "is_fully_separable",
     "is_unitary",
     "kron",
     "lex_index",
-    "multi_index",
     "pattern_permutation",
     "phase_gate",
     "quadric_generators",
@@ -95,6 +86,5 @@ __all__ = [
     "random_phases",
     "rank1_oracle",
     "segre_map",
-    "swap_gate",
     "to_algebraic",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import _as_matrix, _as_tol
+from .tensorops import _as_int, _as_ints, _as_matrix, _as_tol
 
 # Strand representations (R itself on 2 strands) are capped at this size.
 REP_DIM_CAP = 4096
@@ -49,8 +49,8 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        n = int(self.n_strands)
-        letters = tuple(int(x) for x in self.letters)
+        n = _as_int(self.n_strands, "n_strands")
+        letters = _as_ints(self.letters, "letters")
         if n < 2:
             raise InputError("a braid word needs at least 2 strands")
         for x in letters:
@@ -89,31 +89,21 @@ def _operator(r, dim: int | None) -> tuple[np.ndarray, int]:
     r = _as_matrix(r, "R")
     if r.shape[0] != r.shape[1]:
         raise InputError(f"R must be square, got {r.shape}")
-    if dim is None:
-        dim = math.isqrt(r.shape[0])
+    dim = math.isqrt(r.shape[0]) if dim is None else _as_int(dim, "dim")
     if dim < 1 or dim * dim != r.shape[0]:
         raise InputError(f"matrix size {r.shape[0]} is not dim^2 for dim={dim}")
-    return r, int(dim)
+    return r, dim
 
 
 def _check_strands(dim: int, n_strands: int) -> int:
-    """dim**n_strands, refused below 2 strands or above ``REP_DIM_CAP``; over
+    """dim**n_strands of int counts, refused below 2 strands or above ``REP_DIM_CAP``; over
     ``REP_DIM_CAP.bit_length()`` strands (too many for any dim >= 2, and the
     bound for dim 1) are refused before dim**n_strands is computed."""
-    n_strands = int(n_strands)
     if n_strands < 2:
         raise InputError("need at least 2 strands")
     if n_strands > REP_DIM_CAP.bit_length() or dim**n_strands > REP_DIM_CAP:
         raise ResourceLimitError(f"representation size {dim}**{n_strands} exceeds cap {REP_DIM_CAP}")
     return dim**n_strands
-
-
-def swap_gate(dim: int) -> np.ndarray:
-    """The tensor swap on C^dim (x) C^dim: |a,b> -> |b,a>."""
-    dim = int(dim)
-    if dim < 1:
-        raise InputError("swap gate needs dim >= 1")
-    return r_from_phase_matrix(np.broadcast_to(1.0, (dim, dim)))  # allocates nothing
 
 
 def r_from_phase_matrix(phases) -> np.ndarray:
@@ -201,7 +191,7 @@ def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
 
 
 def _swap_rows(m: np.ndarray, dim: int) -> np.ndarray:
-    """swap_gate(dim) @ m as a row permutation: row (b, a) is m's row (a, b)."""
+    """swap @ m as a row permutation: row (b, a) is m's row (a, b)."""
     return m.reshape(dim, dim, -1).transpose(1, 0, 2).reshape(dim * dim, -1)
 
 
@@ -224,24 +214,6 @@ def check_algebraic_yang_baxter(
     # X12 X13 X23 - X23 X13 X12 = P13 (R12 R23 R12 - R23 R12 R23) for R = P X,
     # and a permutation keeps the largest absolute entry.
     return _ybe(_swap_rows(x, dim), dim, _as_tol(tol))
-
-
-def braid_generator_rep(r, dim: int, n_strands: int, i: int) -> np.ndarray:
-    """tau(b_i) on n strands: identities around R at factors i, i+1.
-
-    R's entries are written into the result's blocks, with no arithmetic,
-    so the only dim**n_strands square allocation is the result itself.
-    """
-    r, dim = _operator(r, dim)
-    total = _check_strands(dim, n_strands)
-    n_strands = int(n_strands)
-    if not 1 <= i <= n_strands - 1:
-        raise InputError(f"generator index {i} outside 1..{n_strands - 1}")
-    a, b = dim ** (i - 1), dim ** (n_strands - i - 1)
-    out = np.zeros((a, dim * dim, b, a, dim * dim, b), dtype=np.complex128)
-    x, y = np.arange(a)[:, None], np.arange(b)
-    out[x, :, y, x, :, y] = r
-    return out.reshape(total, total)
 
 
 def evaluate_braid_word(word: BraidWord, r, dim: int) -> np.ndarray:
@@ -289,8 +261,9 @@ def check_braid_relations(
     and with it the YBE check and the number of relations reported.
     """
     r, dim = _operator(r, dim)
+    n_strands = _as_int(n_strands, "n_strands")
     _check_strands(dim, n_strands)
-    return _relations(r, dim, int(n_strands), _as_tol(tol))
+    return _relations(r, dim, n_strands, _as_tol(tol))
 
 
 def _relations(r: np.ndarray, dim: int, n_strands: int, tol: float) -> BraidRelationReport:

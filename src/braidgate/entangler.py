@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InputError
 from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
-from .tensorops import CoefficientTensor, StateVector, _as_tol
+from .tensorops import CoefficientTensor, StateVector, _as_int, _as_tol
 
 
 class Convention(str, enum.Enum):
@@ -63,7 +63,7 @@ class MonomialGateMatrix:
     value_of_row: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n)
+        n = _as_int(self.n, "n")
         cols = np.ascontiguousarray(self.col_of_row, dtype=np.int64)
         vals = np.ascontiguousarray(self.value_of_row, dtype=np.complex128)
         if n < 1 or cols.shape != (n,) or vals.shape != (n,):
@@ -128,7 +128,7 @@ def construct_entangler(
 
 def pattern_permutation(n: int) -> MonomialGateMatrix:
     """The swap-pattern permutation: rows 1 and n fixed, middle rows reversed."""
-    n = int(n)
+    n = _as_int(n, "n")
     if n < 2:
         raise InputError("pattern permutation needs n >= 2")
     return MonomialGateMatrix(n, _entangler_pattern(n), np.ones(n, dtype=np.complex128))

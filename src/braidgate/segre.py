@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import CoefficientTensor, _as_dims, _as_tol, _check_digits, _check_size
+from .tensorops import CoefficientTensor, _as_dims, _as_int, _as_tol, _check_digits, _check_size
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -59,13 +59,15 @@ class QuadricGenerator:
         dims = _as_dims(self.dims)
         k = _check_digits(self.k, dims)
         l = _check_digits(self.l, dims)
-        if not 1 <= self.slot <= len(dims):
-            raise InputError(f"slot {self.slot} outside 1..{len(dims)}")
-        j = self.slot - 1
+        slot = _as_int(self.slot, "slot")
+        if not 1 <= slot <= len(dims):
+            raise InputError(f"slot {slot} outside 1..{len(dims)}")
+        j = slot - 1
         if not k[j] < l[j]:
-            raise InputError(f"non-canonical generator: digits {k[j]} !< {l[j]} at slot {self.slot}")
+            raise InputError(f"non-canonical generator: digits {k[j]} !< {l[j]} at slot {slot}")
         if not k[:j] + k[j + 1:] < l[:j] + l[j + 1:]:
             raise InputError("non-canonical generator: remaining digits not lex-increasing")
+        object.__setattr__(self, "slot", slot)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "dims", dims)
@@ -336,7 +338,5 @@ def segre_map(factors) -> CoefficientTensor:
     with np.errstate(over="ignore", invalid="ignore"):
         out = functools.reduce(np.multiply.outer, vecs)
     if np.max(np.abs(out.view(np.float64))) < np.finfo(np.float64).tiny:
-        parts = [v.view(np.float64) for v in vecs]
-        scaled = [np.ldexp(p, -np.frexp(np.max(np.abs(p)))[1]).view(np.complex128) for p in parts]
-        out = functools.reduce(np.multiply.outer, scaled)
+        out = functools.reduce(np.multiply.outer, [_scaled(v) for v in vecs])
     return CoefficientTensor.from_array(out)

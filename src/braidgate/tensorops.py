@@ -25,11 +25,28 @@ KRON_DIM_CAP = 10_000
 TENSOR_SIZE_CAP = 2**24
 
 
-def _as_dims(dims) -> tuple[int, ...]:
+def _as_int(value, name: str) -> int:
+    """An integer argument as an int: a value that ``int()`` rejects or changes
+    is an :class:`InputError`. Decimal strings such as ``"3"`` (the CLI's) parse."""
     try:
-        out = tuple(int(d) for d in dims)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"dims must be a sequence of integers, got {dims!r}") from exc
+        out = int(value)
+        if isinstance(value, str) or out == value:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_ints(values, name: str) -> tuple[int, ...]:
+    """A sequence of integer arguments as a tuple of ints, see :func:`_as_int`."""
+    try:
+        return tuple(_as_int(v, name) for v in values)
+    except (TypeError, InputError) as exc:
+        raise InputError(f"{name} must be a sequence of integers, got {values!r}") from exc
+
+
+def _as_dims(dims) -> tuple[int, ...]:
+    out = _as_ints(dims, "dims")
     if not out or any(d < 1 for d in out):
         raise InputError(f"dims must be non-empty and positive, got {out}")
     return out
@@ -52,9 +69,13 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def _as_tol(tol) -> float:
     """A tolerance as a float: finite and above zero, else :class:`InputError`."""
-    if not 0.0 < float(tol) < math.inf:
+    try:
+        value = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
         raise InputError(f"tolerance must be finite and positive, got {tol}")
-    return float(tol)
+    return value
 
 
 def _check_digits(digits, dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -62,7 +83,7 @@ def _check_digits(digits, dims: tuple[int, ...]) -> tuple[int, ...]:
 
     ``dims`` must come from :func:`_as_dims`: callers check it once per call.
     """
-    digits = tuple(int(d) for d in digits)
+    digits = _as_ints(digits, "multi-index")
     if len(digits) != len(dims):
         raise InputError(f"multi-index {digits} has {len(digits)} digits, expected {len(dims)}")
     for j, (d, n) in enumerate(zip(digits, dims), start=1):
@@ -78,27 +99,6 @@ def lex_index(digits, dims) -> int:
     for d, n in zip(_check_digits(digits, dims), dims):
         r = r * n + (d - 1)
     return r + 1
-
-
-def multi_index(r: int, dims) -> tuple[int, ...]:
-    """Inverse of :func:`lex_index`."""
-    dims = _as_dims(dims)
-    total = math.prod(dims)
-    r = int(r)
-    if not 1 <= r <= total:
-        raise InputError(f"linear index {r} outside 1..{total}")
-    rem = r - 1
-    digits = []
-    for n in reversed(dims):
-        rem, d = divmod(rem, n)
-        digits.append(d + 1)
-    return tuple(reversed(digits))
-
-
-def digit_complement(digits, dims) -> tuple[int, ...]:
-    """Reflect every digit: ``k_j -> dims[j] + 1 - k_j``."""
-    dims = _as_dims(dims)
-    return tuple(n + 1 - d for d, n in zip(_check_digits(digits, dims), dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +153,7 @@ def random_phases(dims, seed: int) -> CoefficientTensor:
     All randomness flows through the explicit seed: the same seed yields an
     identical tensor on every run (fixed generator algorithm).
     """
-    seed = int(seed)
+    seed = _as_int(seed, "seed")
     if seed < 0:
         raise InputError("seed must be a non-negative integer")
     dims = _as_dims(dims)
@@ -208,12 +208,3 @@ def is_unitary(a, tol: float = 1e-12) -> tuple[bool, float]:
     if not math.isfinite(residual):
         raise InputError("the unitarity product of the matrix overflows")
     return residual <= tol, residual
-
-
-def flatten_mode(tensor: CoefficientTensor, slot: int) -> np.ndarray:
-    """Mode-``slot`` matricization: rows are the slot digit, columns the
-    remaining digits in lex order (slot is 1-based)."""
-    if not 1 <= slot <= tensor.n_slots:
-        raise InputError(f"slot {slot} outside 1..{tensor.n_slots}")
-    arr = tensor.as_array()
-    return np.moveaxis(arr, slot - 1, 0).reshape(tensor.dims[slot - 1], -1)

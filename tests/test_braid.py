@@ -13,7 +13,6 @@ from braidgate import (
     CoefficientTensor,
     InputError,
     ResourceLimitError,
-    braid_generator_rep,
     check_algebraic_yang_baxter,
     check_braid_relations,
     check_yang_baxter,
@@ -22,7 +21,6 @@ from braidgate import (
     is_unitary,
     r_from_phase_matrix,
     random_phases,
-    swap_gate,
     to_algebraic,
 )
 from braidgate.braid import _apply_on_strands, _apply_on_strands_right
@@ -32,9 +30,14 @@ def phase_matrix(n, seed):
     return random_phases((n, n), seed).as_array()
 
 
+def swap(d):
+    """The tensor swap |a,b> -> |b,a> on C^d (x) C^d: the identity's rows, (a, b) moved to (b, a)."""
+    return np.eye(d * d).reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, -1)
+
+
 def test_r_from_all_ones_is_swap():
     for n in (2, 3):
-        assert np.array_equal(r_from_phase_matrix(np.ones((n, n))), swap_gate(n))
+        assert np.array_equal(r_from_phase_matrix(np.ones((n, n))), swap(n))
 
 
 def test_r_from_phase_matrix_basis_action():
@@ -72,7 +75,7 @@ def test_non_unimodular_phases_still_solve_ybe():
 
 def test_trivial_ybe_solutions():
     assert check_yang_baxter(np.eye(9), 3).residual == 0.0
-    assert check_yang_baxter(swap_gate(3), 3).residual == 0.0
+    assert check_yang_baxter(swap(3), 3).residual == 0.0
 
 
 def test_sign_flip_entangler_solves_ybe():
@@ -87,13 +90,13 @@ def test_perturbed_swap_fails_ybe():
     # bumping a structurally zero entry breaks the phase-decorated-swap form;
     # the induced residual is quadratic in the perturbation (exactly eps^2
     # here), while bumping a supported entry leaves an exact solution
-    r = swap_gate(2)
+    r = swap(2)
     r[0, 1] = 1e-3
     report = check_yang_baxter(r, 2)
     assert not report.passed
     assert report.residual == pytest.approx(1e-6, rel=1e-9)
 
-    still_solution = swap_gate(2)
+    still_solution = swap(2)
     still_solution[0, 0] = 1.0 + 1e-3
     assert check_yang_baxter(still_solution, 2).residual == 0.0
 
@@ -108,11 +111,12 @@ def test_ybe_size_validation():
 
 
 def test_braid_generator_rep_placement():
-    r = swap_gate(2)
+    # the one-letter word b_i is the generator's representation tau(b_i)
+    r = swap(2)
     # n=2, i=1 is R itself
-    assert np.array_equal(braid_generator_rep(r, 2, 2, 1), r)
+    assert np.array_equal(evaluate_braid_word(BraidWord(2, (1,)), r, 2), r)
     # n=3, i=1 swaps the first two factors of a basis state
-    rep = braid_generator_rep(r, 2, 3, 1)
+    rep = evaluate_braid_word(BraidWord(3, (1,)), r, 2)
     for a in range(2):
         for b in range(2):
             for c in range(2):
@@ -123,14 +127,14 @@ def test_braid_generator_rep_placement():
                 expected[(b * 2 + a) * 2 + c] = 1.0
                 assert np.array_equal(out, expected)
     with pytest.raises(InputError):
-        braid_generator_rep(r, 2, 3, 3)
+        BraidWord(3, (3,))
     with pytest.raises(ResourceLimitError):
-        braid_generator_rep(r, 2, 13, 1)
+        evaluate_braid_word(BraidWord(13, (1,)), r, 2)
 
 
 def test_delta_form_representation_is_unitary_on_three_strands():
     r = r_from_phase_matrix(phase_matrix(2, 5))
-    rep = braid_generator_rep(r, 2, 3, 2)
+    rep = evaluate_braid_word(BraidWord(3, (2,)), r, 2)
     assert rep.shape == (8, 8)
     assert is_unitary(rep, 1e-12)[0]
 
@@ -168,7 +172,7 @@ def test_braid_word_validation_and_singular_r():
 
 
 def test_braid_relations_for_symmetric_group():
-    report = check_braid_relations(swap_gate(2), 2, 4)
+    report = check_braid_relations(swap(2), 2, 4)
     assert report.passed
     assert report.max_residual == 0.0
     kinds = {(c.kind, c.i, c.j) for c in report.checks}
@@ -216,7 +220,7 @@ def test_algebraic_form_of_delta_solution_is_diagonal_and_passes():
 
 
 def test_algebraic_checker_on_plain_swap():
-    report = check_algebraic_yang_baxter(swap_gate(2), 2)
+    report = check_algebraic_yang_baxter(swap(2), 2)
     assert report.passed and report.residual == 0.0
 
 
@@ -233,7 +237,7 @@ def gaussian_matrix(n, rng):
 
 def dense_relation_residuals(r, dim, n_strands):
     """Each Artin relation multiplied out in the strand representation."""
-    reps = {i: braid_generator_rep(r, dim, n_strands, i) for i in range(1, n_strands)}
+    reps = {i: dense_generator_rep(r, dim, n_strands, i) for i in range(1, n_strands)}
     out = []
     for i in range(1, n_strands):
         for j in range(i + 2, n_strands):
@@ -251,7 +255,7 @@ def dense_algebraic_residual(x, dim):
     eye = np.eye(dim)
     x12 = np.kron(x, eye)
     x23 = np.kron(eye, x)
-    s23 = np.kron(eye, swap_gate(dim))
+    s23 = np.kron(eye, swap(dim))
     x13 = s23 @ x12 @ s23
     return np.max(np.abs(x12 @ x13 @ x23 - x23 @ x13 @ x12))
 
@@ -305,7 +309,7 @@ def test_to_algebraic_is_the_swap_product():
     rng = np.random.default_rng(79)
     for dim in (1, 2, 3, 4):
         r = gaussian_matrix(dim * dim, rng)
-        assert np.array_equal(to_algebraic(r, dim), swap_gate(dim) @ r)
+        assert np.array_equal(to_algebraic(r, dim), swap(dim) @ r)
 
 
 def test_far_commutation_is_exactly_zero_for_phase_swaps():
@@ -326,7 +330,7 @@ def test_relations_at_the_representation_cap_stay_small():
     assert len(report.checks) == 10 and report.passed
     assert peak < 8 * 2**20
     with pytest.raises(ResourceLimitError):
-        check_braid_relations(swap_gate(2), 2, 13)
+        check_braid_relations(swap(2), 2, 13)
 
 
 # --- the strand-local kernel against the dense Kronecker products it replaced
@@ -383,7 +387,6 @@ def test_strand_kernel_matches_dense_kronecker_products(case):
     dense = dense_generator_rep(r, dim, n_strands, i)
     assert np.array_equal(_apply_on_strands(r, m, dim, i), dense @ m)
     assert np.array_equal(_apply_on_strands_right(m.T, r, dim, i), m.T @ dense)
-    assert np.array_equal(braid_generator_rep(r, dim, n_strands, i), dense)
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,9 +460,8 @@ def test_refusals_come_before_allocation():
     singular[0, 0] = 1.0
     refusals = [
         (ResourceLimitError, lambda: check_yang_baxter(big, 32)),
-        (ResourceLimitError, lambda: braid_generator_rep(swap_gate(2), 2, 13, 1)),
-        (ResourceLimitError, lambda: evaluate_braid_word(BraidWord(13, (1,)), swap_gate(2), 2)),
-        (ResourceLimitError, lambda: check_braid_relations(swap_gate(2), 2, 13)),
+        (ResourceLimitError, lambda: evaluate_braid_word(BraidWord(13, (1,)), swap(2), 2)),
+        (ResourceLimitError, lambda: check_braid_relations(swap(2), 2, 13)),
         # the 4096 x 4096 identity (256 MB) is never made for a singular R
         (InputError, lambda: evaluate_braid_word(BraidWord(12, (2, -1)), singular, 2)),
     ]
@@ -502,11 +504,11 @@ def test_overflowing_products_are_an_input_error():
 def test_overflowing_braid_words_are_an_input_error():
     word = BraidWord(3, (1, 2, 1))
     with pytest.raises(InputError, match="overflow"):
-        evaluate_braid_word(word, 1e200 * swap_gate(2), 2)
+        evaluate_braid_word(word, 1e200 * swap(2), 2)
     # three letters of 1e100 reach 1e300: finite, and the swap word's pattern
-    out = evaluate_braid_word(word, 1e100 * swap_gate(2), 2)
+    out = evaluate_braid_word(word, 1e100 * swap(2), 2)
     assert np.isfinite(out).all()
-    assert np.array_equal(out != 0, evaluate_braid_word(word, swap_gate(2), 2) != 0)
+    assert np.array_equal(out != 0, evaluate_braid_word(word, swap(2), 2) != 0)
 
 
 def test_strand_count_is_bounded_for_dimension_one():
@@ -516,13 +518,12 @@ def test_strand_count_is_bounded_for_dimension_one():
         lambda: check_braid_relations(one, 1, 14),
         lambda: check_braid_relations(one, 1, 3000),
         lambda: evaluate_braid_word(BraidWord(14, (1,)), one, 1),
-        lambda: braid_generator_rep(one, 1, 14, 1),
     ):
         with pytest.raises(ResourceLimitError, match=r"^representation size 1\*\*\d+ exceeds cap"):
             call()
     # the message names the size without computing it
     with pytest.raises(ResourceLimitError, match=r"^representation size 3\*\*10000 exceeds"):
-        check_braid_relations(swap_gate(3), 3, 10000)
+        check_braid_relations(swap(3), 3, 10000)
     with pytest.raises(ResourceLimitError, match=r"^representation size 17\*\*3 exceeds cap 4096$"):
         check_yang_baxter(np.eye(17 * 17), 17)
 
@@ -540,8 +541,8 @@ def test_empty_or_negative_factor_dimension_is_an_input_error():
 def test_phase_swaps_above_the_two_strand_cap_are_refused_before_allocating():
     for call in (
         lambda: r_from_phase_matrix(np.ones((65, 65))),
-        lambda: swap_gate(65),
-        lambda: swap_gate(1000),
+        lambda: r_from_phase_matrix(np.broadcast_to(1.0, (65, 65))),
+        lambda: r_from_phase_matrix(np.broadcast_to(1.0, (1000, 1000))),
     ):
         _, peak = peak_of(lambda: pytest.raises(ResourceLimitError, call))
         assert peak < 2**20

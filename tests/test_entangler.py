@@ -18,12 +18,10 @@ from braidgate import (
     apply_entangler,
     certify_entangler,
     construct_entangler,
-    digit_complement,
     evaluate_quadric,
     is_fully_separable,
     is_unitary,
     lex_index,
-    multi_index,
     pattern_permutation,
     phase_gate,
     random_phases,
@@ -185,11 +183,10 @@ def test_apply_entangler_paper_matrix_reflects_middle():
         out = apply_entangler(t, "paper-matrix")
         n = t.size
         for r in range(1, n + 1):
-            x = multi_index(r, dims)
-            if r in (1, n):
-                assert out.amplitudes[r - 1] == t.at(x)
-            else:
-                assert out.amplitudes[r - 1] == t.at(digit_complement(x, dims))
+            x = tuple(int(k) + 1 for k in np.unravel_index(r - 1, dims))
+            if r not in (1, n):
+                x = tuple(d + 1 - k for k, d in zip(x, dims))  # every digit reflected
+            assert out.amplitudes[r - 1] == t.at(x)
 
 
 def test_sign_flip_coefficients_entangle():

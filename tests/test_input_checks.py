@@ -3,7 +3,8 @@
 Tolerances go through ``tensorops._as_tol``, the two-factor operator R
 through ``braid._operator`` and the strand count through
 ``braid._check_strands``. The counts below are taken by patching each check
-in every module that calls it.
+in every module that calls it. Integer arguments go through
+``tensorops._as_int``.
 """
 
 import json
@@ -18,8 +19,10 @@ import braidgate.segre as segre_module
 import braidgate.tensorops as tensorops_module
 from braidgate import (
     BraidWord,
+    CoefficientTensor,
     InputError,
-    braid_generator_rep,
+    MonomialGateMatrix,
+    QuadricGenerator,
     certify_entangler,
     check_algebraic_yang_baxter,
     check_braid_relations,
@@ -27,10 +30,11 @@ from braidgate import (
     evaluate_braid_word,
     is_fully_separable,
     is_unitary,
+    lex_index,
+    pattern_permutation,
     r_from_phase_matrix,
     random_phases,
     rank1_oracle,
-    swap_gate,
     to_algebraic,
 )
 from braidgate.serialize import matrix_to_payload, tensor_to_payload
@@ -47,12 +51,10 @@ T = random_phases((2, 2), 4)
 
 # (call, tolerances checked in order, R checks, strand checks)
 LIBRARY_CALLS = {
-    "swap_gate": (lambda: swap_gate(2), [], 0, 1),
     "r_from_phase_matrix": (lambda: r_from_phase_matrix(np.ones((2, 2))), [], 0, 1),
     "check_yang_baxter": (lambda: check_yang_baxter(R, 2, 1e-9), [1e-9], 1, 1),
     "check_algebraic_yang_baxter": (lambda: check_algebraic_yang_baxter(R, 2, 1e-9), [1e-9], 1, 1),
     "to_algebraic": (lambda: to_algebraic(R, 2), [], 1, 0),
-    "braid_generator_rep": (lambda: braid_generator_rep(R, 2, 3, 2), [], 1, 1),
     "evaluate_braid_word": (lambda: evaluate_braid_word(BraidWord(3, (1, -2)), R, 2), [], 1, 1),
     "check_braid_relations": (lambda: check_braid_relations(R, 2, 4, 1e-9), [1e-9], 1, 1),
     "is_fully_separable": (lambda: is_fully_separable(T, 1e-9), [1e-9], 0, 0),
@@ -143,10 +145,47 @@ TOLERANCE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, "a", None, 1j])
 @pytest.mark.parametrize("name", list(TOLERANCE_CALLS))
 def test_tolerances_must_be_finite_and_positive(name, tol):
     # nan made every comparison false (a unimodular gate "not unitary", a product
-    # state "entangled"); inf made every comparison true
+    # state "entangled"); inf made every comparison true; "a", None and 1j
+    # raised ValueError or TypeError
     with pytest.raises(InputError, match="tolerance must be finite and positive"):
         TOLERANCE_CALLS[name](tol)
+
+
+# integer arguments are checked by tensorops._as_int: int() once truncated 1.7
+# to 1 and 3.7 strands to 3, and raised TypeError or ValueError on others
+INTEGER_CALLS = {
+    "lex_index digit": lambda: lex_index((1.7, 1), (3, 3)),
+    "lex_index dims": lambda: lex_index((1, 1), (3, float("inf"))),
+    "random_phases dims": lambda: random_phases((2.5, 2), 1),
+    "random_phases seed": lambda: random_phases((2, 2), "a"),
+    "random_phases float seed": lambda: random_phases((2, 2), 1.5),
+    "CoefficientTensor dims": lambda: CoefficientTensor((2, 2.5), np.ones(4)),
+    "check_yang_baxter dim": lambda: check_yang_baxter(R, 2.5),
+    "check_yang_baxter dim string": lambda: check_yang_baxter(R, "two"),
+    "check_braid_relations strands": lambda: check_braid_relations(R, 2, 3.7),
+    "check_braid_relations nan strands": lambda: check_braid_relations(R, 2, float("nan")),
+    "evaluate_braid_word dim": lambda: evaluate_braid_word(BraidWord(3, (1,)), R, 2.5),
+    "BraidWord strands": lambda: BraidWord(2.5, (1,)),
+    "BraidWord letter": lambda: BraidWord(3, (1.5,)),
+    "QuadricGenerator slot": lambda: QuadricGenerator(1.5, (1, 1), (2, 2), (2, 2)),
+    "pattern_permutation": lambda: pattern_permutation(2.5),
+    "MonomialGateMatrix": lambda: MonomialGateMatrix(2.5, [0, 1], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGER_CALLS))
+def test_integer_arguments_are_checked_not_truncated(name):
+    with pytest.raises(InputError, match="must be (an integer|a sequence of integers), got"):
+        INTEGER_CALLS[name]()
+
+
+def test_integral_values_and_decimal_strings_are_integers():
+    assert lex_index((2.0, np.int64(3)), ("3", 3)) == 6
+    assert random_phases(("2", "2"), "5").dims == (2, 2)
+    assert check_braid_relations(R, np.int64(2), 3.0).n_strands == 3
+    assert BraidWord(3.0, (1.0, -2)).letters == (1, -2)
+    assert QuadricGenerator(2.0, (1, 1), (2, 2), (2, 2)).slot == 2

@@ -18,13 +18,10 @@ from braidgate import (
     QuadricGenerator,
     ResourceLimitError,
     StateVector,
-    digit_complement,
     evaluate_quadric,
-    flatten_mode,
     is_unitary,
     kron,
     lex_index,
-    multi_index,
     random_phases,
     segre_map,
 )
@@ -34,6 +31,16 @@ ALL_DIMS = [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2, 3, 4), (10, 10, 10, 10)]
 
 def all_indices(dims):
     return itertools.product(*[range(1, d + 1) for d in dims])
+
+
+def multi_index(rank, dims):
+    """Reference inverse of lex_index: lex order is numpy's C order, 1-based."""
+    return tuple(int(x) + 1 for x in np.unravel_index(rank - 1, dims))
+
+
+def digit_complement(digits, dims):
+    """Reference reflection of every digit: k_j -> dims[j] + 1 - k_j."""
+    return tuple(n + 1 - d for d, n in zip(digits, dims))
 
 
 def test_lex_index_examples():
@@ -67,10 +74,6 @@ def test_index_validation_errors():
         lex_index((1, 4), (3, 3))
     with pytest.raises(InputError):
         lex_index((1, 1, 1), (3, 3))
-    with pytest.raises(InputError):
-        multi_index(0, (3, 3))
-    with pytest.raises(InputError):
-        multi_index(10, (3, 3))
 
 
 def test_index_helpers_check_dims_once_with_unchanged_messages(monkeypatch):
@@ -85,7 +88,6 @@ def test_index_helpers_check_dims_once_with_unchanged_messages(monkeypatch):
     monkeypatch.setattr(segre_module, "_as_dims", counting)
     for build in (
         lambda: lex_index((2, 3), (3, 3)),
-        lambda: digit_complement((2, 3), (3, 3)),
         lambda: QuadricGenerator(1, (1, 1), (2, 2), (2, 2)),
     ):
         calls.clear()
@@ -97,8 +99,8 @@ def test_index_helpers_check_dims_once_with_unchanged_messages(monkeypatch):
         (lambda: lex_index((1, 1, 1), (3, 3)), "multi-index (1, 1, 1) has 3 digits, expected 2"),
         (lambda: lex_index((1, 1), (3, 0)), "dims must be non-empty and positive, got (3, 0)"),
         (lambda: lex_index((1,), None), "dims must be a sequence of integers, got None"),
-        (lambda: digit_complement((1, 4), (3, 3)), "digit 4 at slot 2 outside 1..3"),
-        (lambda: digit_complement((1, 1), ()), "dims must be non-empty and positive, got ()"),
+        (lambda: lex_index((1, 4), (3, 3)), "digit 4 at slot 2 outside 1..3"),
+        (lambda: lex_index((1, 1), ()), "dims must be non-empty and positive, got ()"),
         (lambda: QuadricGenerator(1, (1, 1), (2, 3), (2, 2)), "digit 3 at slot 2 outside 1..2"),
         (lambda: QuadricGenerator(1, (1,), (2, 2), (2, 2)),
          "multi-index (1,) has 1 digits, expected 2"),
@@ -205,40 +207,6 @@ def test_monomial_pattern_with_unimodular_values_is_unitary():
     # the residual is exactly the worst |value|^2 deviation
     expected = np.max(np.abs(np.abs(values) ** 2 - 1.0))
     assert abs(residual - expected) < 1e-14
-
-
-def test_flatten_mode_rank1_has_zero_minors():
-    u = np.array([1.0, 2.0, -1.5])
-    v = np.array([0.5 - 1j, 2.0, 1j])
-    tensor = CoefficientTensor.from_array(np.multiply.outer(u, v))
-    for slot in (1, 2):
-        mat = flatten_mode(tensor, slot)
-        for r1, r2 in itertools.combinations(range(mat.shape[0]), 2):
-            for c1, c2 in itertools.combinations(range(mat.shape[1]), 2):
-                minor = mat[r1, c1] * mat[r2, c2] - mat[r1, c2] * mat[r2, c1]
-                assert abs(minor) < 1e-13
-
-
-def test_flatten_mode_identity_layout():
-    tensor = CoefficientTensor((2, 2), [1, 0, 0, 1])
-    assert np.array_equal(flatten_mode(tensor, 1), np.eye(2))
-
-
-def test_flatten_mode_matches_element_access():
-    dims = (2, 3, 2)
-    rng = np.random.default_rng(11)
-    tensor = CoefficientTensor(dims, rng.normal(size=12) + 1j * rng.normal(size=12))
-    for slot in (1, 2, 3):
-        mat = flatten_mode(tensor, slot)
-        rest_dims = dims[: slot - 1] + dims[slot:]
-        for k in all_indices(dims):
-            rest = k[: slot - 1] + k[slot:]
-            col = lex_index(rest, rest_dims) - 1
-            assert mat[k[slot - 1] - 1, col] == tensor.at(k)
-    with pytest.raises(InputError):
-        flatten_mode(tensor, 0)
-    with pytest.raises(InputError):
-        flatten_mode(tensor, 4)
 
 
 def test_coefficient_tensor_validation():
