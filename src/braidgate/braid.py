@@ -4,14 +4,17 @@ The braided Yang-Baxter equation on V (x) V (x) V reads
 
     (R (x) I)(I (x) R)(R (x) I) = (I (x) R)(R (x) I)(I (x) R)
 
-and is verified here on blocks of identity columns. On such a block the
-first factor of each side is R's own entries, read rather than multiplied,
-and the second is one product that contracts the one strand the two share.
-Only the last factor is a full product: it acts on two adjacent strands, so
-it is one batched product with R on the middle axis of the reshaped
-operand, and the padded operator I (x) R (x) I is never built. The checker
-still assumes nothing about the structure of the candidate R; the Artin
-relation and algebraic checks reduce to its one residual. Generators of the
+and is checked on one of two paths, chosen from R itself. A monomial R, with
+one nonzero per row and per column (every phase-decorated swap and every
+entangler), sends each basis column to one row with one value on either
+side, so the residual is read from R's permutation and values. Any other R
+is checked on blocks of identity columns. On such a block the first factor
+of each side is R's own entries, read rather than multiplied, and the
+second is one product that contracts the one strand the two share. Only the
+last factor is a full product: it acts on two adjacent strands, so it is
+one batched product with R on the middle axis of the reshaped operand, and
+the padded operator I (x) R (x) I is never built. The Artin relation and
+algebraic checks reduce to this one residual. Generators of the
 n-strand braid group act by R on adjacent factor pairs, and braid words are
 multiplied out letter by letter the same way. Each public call checks R,
 the strand count and the tolerance once; the private cores behind it take
@@ -148,12 +151,16 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
     """Residual of the braided Yang-Baxter equation for R on C^dim (x) C^dim.
 
     The residual is ``max |R12 R23 R12 - R23 R12 R23|`` over all dim**6
-    entries, taken over dim blocks of dim**2 identity columns. On a block
-    the first factor of each side is read from R's entries and the second
-    contracts one strand index; only the last is a full strand-local
-    product. The cost is 2 dim**8 + O(dim**7) multiply-adds and the working
-    set O(dim**5); no dim**3 square operator is formed. dim**3 is capped at
-    ``REP_DIM_CAP``, and an R whose products overflow is an input error.
+    entries. Counting R's nonzeros per row and per column costs O(dim**4).
+    If each count is 1, R is monomial: each side sends each of the dim**3
+    basis columns to one row with one value, and the residual is read from
+    R's permutation and values in O(dim**3). Any other R is taken over dim
+    blocks of dim**2 identity columns. On a block the first factor of each
+    side is read from R's entries and the second contracts one strand index;
+    only the last is a full strand-local product. That costs 2 dim**8 +
+    O(dim**7) multiply-adds and the working set O(dim**5); no dim**3 square
+    operator is formed. dim**3 is capped at ``REP_DIM_CAP`` on both paths,
+    and an R whose products overflow is an input error.
     """
     r, dim = _operator(r, dim)
     _check_strands(dim, 3)
@@ -161,7 +168,44 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
 
 
 def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
-    """:func:`check_yang_baxter` of a checked R, dim and tolerance.
+    """:func:`check_yang_baxter` of a checked R, dim and tolerance: an R with
+    one nonzero per row and per column is read as a permutation and values."""
+    nonzero = r != 0
+    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+        rows = nonzero.argmax(axis=0)
+        residual = _monomial_ybe_residual(rows, r[rows, np.arange(rows.size)], dim)
+    else:
+        residual = _dense_ybe_residual(r, dim)
+    # an overflow leaves inf or nan here
+    if not math.isfinite(residual):
+        raise InputError("the Yang-Baxter products of R overflow")
+    return YbeReport(residual, residual <= tol, tol)
+
+
+def _monomial_ybe_residual(rows: np.ndarray, values: np.ndarray, dim: int) -> float:
+    """The YBE residual of the R whose column c holds only ``values[c]``, on
+    row ``rows[c]``: each side sends basis column x to one row with one value,
+    so x's residual is ``|vL - vR|`` on one row, else ``max(|vL|, |vR|)``."""
+
+    def times(a, b):
+        # parts rounded one product at a time, as in the dense kernel's BLAS
+        # products; numpy's complex product may fuse a*b - c*d
+        return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+    # row 0 of x follows R12 R23 R12 and row 1 R23 R12 R23, rightmost factor
+    # first; s is the place value of the lower of the two digits R acts on
+    x, v, s = np.arange(dim**3), 1.0, np.array([[dim], [1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            pair = x // s % (dim * dim)
+            x, v, s = x + (rows[pair] - pair) * s, times(values[pair], v), s[::-1]
+        (row_l, row_r), (v_l, v_r) = x, v
+        worst = np.where(row_l == row_r, np.abs(v_l - v_r), np.maximum(np.abs(v_l), np.abs(v_r)))
+    return float(np.max(worst))
+
+
+def _dense_ybe_residual(r: np.ndarray, dim: int) -> float:
+    """The YBE residual of any checked R, by dense products on column blocks.
 
     Block i holds the columns e(i, j', k') for every (j', k'); digits run
     first-most-significant and R[(a, b), (c, e)] is r4[a, b, c, e].
@@ -170,7 +214,7 @@ def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
     r4 = r.reshape(d, d, d, d)
     # R23's entries R[(m, n), (b, k')] with the contracted b first: (b, m n k')
     r23_by_b = r4.transpose(2, 0, 1, 3).reshape(d, d**3)
-    residual = 0.0
+    worst = []
     for i in range(d):
         with np.errstate(over="ignore", invalid="ignore"):
             # R12 e is R[(a, b), (i, j')] on rows (a, b, k'), so R23 R12 e sums
@@ -182,12 +226,9 @@ def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
             # R12 R23 e sums over n only, already laid out as (a b k, j' k')
             rhs = (r[:, i * d:(i + 1) * d] @ r.reshape(d, d**3)).reshape(d**3, d * d)
             lhs -= _apply_on_strands(r, rhs, d, 2)
-            worst = float(np.max(np.abs(lhs)))
-        # an overflow leaves inf or nan here, which max() would drop
-        if not math.isfinite(worst):
-            raise InputError("the Yang-Baxter products of R overflow")
-        residual = max(residual, worst)
-    return YbeReport(residual, residual <= tol, tol)
+            worst.append(np.max(np.abs(lhs)))
+    # np.max keeps a nan that max() would drop
+    return float(np.max(worst))
 
 
 def _swap_rows(m: np.ndarray, dim: int) -> np.ndarray:
@@ -224,8 +265,11 @@ def evaluate_braid_word(word: BraidWord, r, dim: int) -> np.ndarray:
     costs O(dim**(2 n_strands + 2)) per letter; no generator matrix is
     built; each letter is written back into the one result buffer in chunks
     of isqrt(size) rows, since a row of the product depends on that row only.
-    R must be invertible; exact singularity or overflow is an input error.
+    R must be invertible; exact singularity or overflow is an input error,
+    and so is a word that is not a :class:`BraidWord`.
     """
+    if not isinstance(word, BraidWord):
+        raise InputError(f"word must be a BraidWord, got {word!r}")
     r, dim = _operator(r, dim)
     total = _check_strands(dim, word.n_strands)
     r_inv = None

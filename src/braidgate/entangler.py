@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InputError
 from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
-from .tensorops import CoefficientTensor, StateVector, _as_int, _as_tol
+from .tensorops import CoefficientTensor, StateVector, _as_int, _as_ints, _as_tol
 
 
 class Convention(str, enum.Enum):
@@ -64,7 +64,10 @@ class MonomialGateMatrix:
 
     def __post_init__(self):
         n = _as_int(self.n, "n")
-        cols = np.ascontiguousarray(self.col_of_row, dtype=np.int64)
+        cols = self.col_of_row
+        if np.asarray(cols).dtype.kind not in "iu":
+            cols = _as_ints(cols, "col_of_row")
+        cols = np.ascontiguousarray(cols, dtype=np.int64)
         vals = np.ascontiguousarray(self.value_of_row, dtype=np.complex128)
         if n < 1 or cols.shape != (n,) or vals.shape != (n,):
             raise InputError("column and value arrays must both have length n >= 1")

@@ -326,12 +326,14 @@ def segre_map(factors) -> CoefficientTensor:
     """
     vecs = []
     for pos, f in enumerate(factors, start=1):
-        v = np.ascontiguousarray(f, dtype=np.complex128).reshape(-1)
+        v = np.asarray(f, dtype=np.complex128)
+        if v.ndim != 1:
+            raise InputError(f"factor {pos} must be one-dimensional, got shape {v.shape}")
         if v.size == 0 or not np.any(v):
             raise InputError(f"factor {pos} is zero; not a projective point")
         if not np.isfinite(v).all():
             raise InputError(f"factor {pos} contains non-finite entries")
-        vecs.append(v)
+        vecs.append(np.ascontiguousarray(v))
     if not vecs:
         raise InputError("need at least one factor")
     _check_size(tuple(v.size for v in vecs))

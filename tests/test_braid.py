@@ -23,7 +23,8 @@ from braidgate import (
     random_phases,
     to_algebraic,
 )
-from braidgate.braid import _apply_on_strands, _apply_on_strands_right
+import braidgate.braid as braid_module
+from braidgate.braid import _apply_on_strands, _apply_on_strands_right, _dense_ybe_residual
 
 
 def phase_matrix(n, seed):
@@ -422,6 +423,95 @@ def test_ybe_residual_is_bitwise_the_dense_residual_for_exact_products(case):
     assert check_yang_baxter(r, dim).residual == dense_ybe_residual(r, dim)
 
 
+def monomial(values, perm):
+    """The R whose column c holds values[c] on row perm[c]."""
+    r = np.zeros((len(perm), len(perm)), dtype=np.complex128)
+    r[perm, np.arange(len(perm))] = values
+    return r
+
+
+@st.composite
+def monomial_gaussian_integer_operators(draw):
+    dim = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(dim * dim)))
+    values = gaussian_integers(draw, (dim * dim,))
+    return dim, monomial(np.where(values == 0, 1 - 2j, values), perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_gaussian_integer_operators())
+def test_monomial_ybe_residual_is_bitwise_the_dense_residual_for_exact_products(case):
+    # every three-factor product of Gaussian integers is exact, so reading
+    # the residual from R's permutation and values must give the dense bits
+    dim, r = case
+    assert check_yang_baxter(r, dim).residual == dense_ybe_residual(r, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
+def test_monomial_ybe_residual_within_four_ulp_of_the_dense_kernel(dim, seed, phase_swap):
+    # the same single products the dense kernel sums with exact zeros, in
+    # another rounding order: ulps are taken at the products' scale
+    rng = np.random.default_rng(seed)
+    n = dim * dim
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # the phase swap's pattern with Gaussian values solves the YBE
+    perm = swap(dim).argmax(axis=0) if phase_swap else rng.permutation(n)
+    r = monomial(values, perm)
+    ref = _dense_ybe_residual(r, dim)
+    report = check_yang_baxter(r, dim)
+    assert abs(report.residual - ref) <= 4 * np.spacing(np.max(np.abs(values)) ** 3)
+    assert report.passed == (ref <= report.tolerance)
+
+
+def test_only_monomial_r_is_read_as_a_permutation(monkeypatch):
+    taken = []
+    for name in ("_monomial_ybe_residual", "_dense_ybe_residual"):
+        def core(*args, _name=name, _core=getattr(braid_module, name)):
+            taken.append(_name)
+            return _core(*args)
+
+        monkeypatch.setattr(braid_module, name, core)
+    two_in_row_zero = swap(3)
+    two_in_row_zero[0, 1] = 1e-3
+    all_in_row_zero = np.zeros((9, 9))
+    all_in_row_zero[0] = 1.0  # one nonzero per column, but eight all-zero rows
+    one_zeroed = swap(3)
+    one_zeroed[4, 4] = 0.0  # an all-zero row and column
+    cases = [
+        (r_from_phase_matrix(phase_matrix(3, 1)), "_monomial_ybe_residual"),
+        (np.diag(np.arange(1.0, 10.0)), "_monomial_ybe_residual"),
+        (two_in_row_zero, "_dense_ybe_residual"),
+        (two_in_row_zero.T, "_dense_ybe_residual"),
+        (all_in_row_zero, "_dense_ybe_residual"),
+        (all_in_row_zero.T, "_dense_ybe_residual"),
+        (one_zeroed, "_dense_ybe_residual"),
+        (np.zeros((9, 9)), "_dense_ybe_residual"),
+    ]
+    for r, path in cases:
+        taken.clear()
+        check_yang_baxter(r, 3)
+        assert taken == [path]
+
+
+def test_overflowing_monomial_products_are_an_input_error():
+    # the three-factor products reach 1e309: inf on both sides, nan apart
+    r = 1e103 * swap(3)
+    for call in (
+        lambda: check_yang_baxter(r),
+        lambda: check_algebraic_yang_baxter(to_algebraic(r, 3)),
+        lambda: check_braid_relations(r, 3, 4),
+    ):
+        with pytest.raises(InputError, match="overflow"):
+            call()
+    assert check_yang_baxter(1e102 * swap(3)).residual == 0.0
+    # one side overflows in the imaginary part only
+    phases = np.ones((3, 3), dtype=np.complex128)
+    phases[0, 1] = 1e103j
+    with pytest.raises(InputError, match="overflow"):
+        check_yang_baxter(1e103 * r_from_phase_matrix(phases))
+
+
 def test_ybe_at_dim_twelve_stays_within_forty_megabytes():
     # the dense check held three 1728 x 1728 complex products (over 140 MB)
     r = r_from_phase_matrix(phase_matrix(12, 12))
@@ -440,6 +530,27 @@ def test_ybe_at_the_dim_sixteen_cap_stays_within_ninety_six_megabytes():
     r = r_from_phase_matrix(phase_matrix(16, 16))
     report, peak = peak_of(lambda: check_yang_baxter(r, 16))
     assert report.passed and report.residual < 1e-15
+    assert peak < 96 * 2**20
+
+
+def off_pattern_phase_swap(dim):
+    """A phase swap with one entry off its pattern: R for the dense kernel."""
+    r = r_from_phase_matrix(phase_matrix(dim, dim))
+    r[0, 1] = 1e-3
+    return r
+
+
+def test_dense_ybe_at_dim_twelve_stays_within_forty_megabytes():
+    r = off_pattern_phase_swap(12)
+    report, peak = peak_of(lambda: check_yang_baxter(r, 12))
+    assert not report.passed
+    assert peak < 40 * 2**20
+
+
+def test_dense_ybe_at_the_dim_sixteen_cap_stays_within_ninety_six_megabytes():
+    r = off_pattern_phase_swap(16)
+    report, peak = peak_of(lambda: check_yang_baxter(r, 16))
+    assert not report.passed
     assert peak < 96 * 2**20
 
 

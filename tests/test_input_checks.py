@@ -174,6 +174,9 @@ INTEGER_CALLS = {
     "QuadricGenerator slot": lambda: QuadricGenerator(1.5, (1, 1), (2, 2), (2, 2)),
     "pattern_permutation": lambda: pattern_permutation(2.5),
     "MonomialGateMatrix": lambda: MonomialGateMatrix(2.5, [0, 1], [1, 1]),
+    # column 1.5 was once cast to 1, which made this the identity
+    "MonomialGateMatrix col_of_row": lambda: MonomialGateMatrix(2, [0, 1.5], [1, 1]),
+    "MonomialGateMatrix float array": lambda: MonomialGateMatrix(2, np.array([1.5, 0.0]), [1, 1]),
 }
 
 
@@ -189,3 +192,11 @@ def test_integral_values_and_decimal_strings_are_integers():
     assert check_braid_relations(R, np.int64(2), 3.0).n_strands == 3
     assert BraidWord(3.0, (1.0, -2)).letters == (1, -2)
     assert QuadricGenerator(2.0, (1, 1), (2, 2), (2, 2)).slot == 2
+    assert MonomialGateMatrix(2, [1.0, "0"], [1, 1]).col_of_row.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("word", [(3, (1,)), [3, [1]], None, "b1"])
+def test_braid_words_must_be_braid_words(word):
+    # a tuple once raised AttributeError from the strand check
+    with pytest.raises(InputError, match="word must be a BraidWord"):
+        evaluate_braid_word(word, R, 2)

@@ -154,6 +154,13 @@ def test_segre_map_examples():
         segre_map([])
 
 
+def test_segre_map_factors_must_be_vectors():
+    # a 2 x 2 factor was once read as one 4-vector, and a scalar as a 1-vector
+    for bad in ([[1, 2], [3, 4]], [[1, 2]], 5):
+        with pytest.raises(InputError, match="factor 2 must be one-dimensional"):
+            segre_map([[1, 2], bad])
+
+
 def test_segre_map_overflow_is_an_input_error():
     with pytest.raises(InputError, match="non-finite"):
         segre_map([[1e200, 1], [1e200, 1]])
