@@ -5,8 +5,8 @@ The braided Yang-Baxter equation on V (x) V (x) V reads
     (R (x) I)(I (x) R)(R (x) I) = (I (x) R)(R (x) I)(I (x) R)
 
 and is checked on one of two paths, chosen from R itself. A monomial R, with
-one nonzero per row and per column (every phase-decorated swap and every
-entangler), sends each basis column to one row with one value on either
+one nonzero per row and per column (a phase swap or entangler whose values are
+all nonzero), sends each basis column to one row with one value on either
 side, so the residual is read from R's permutation and values. Any other R
 is checked on blocks of identity columns. On such a block the first factor
 of each side is R's own entries, read rather than multiplied, and the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import _as_int, _as_ints, _as_matrix, _as_tol
+from .tensorops import _as_array, _as_int, _as_ints, _as_tol, _check_type
 
 # Strand representations (R itself on 2 strands) are capped at this size.
 REP_DIM_CAP = 4096
@@ -89,7 +89,7 @@ class BraidRelationReport:
 
 def _operator(r, dim: int | None) -> tuple[np.ndarray, int]:
     """R as a finite complex dim**2 square matrix; dim is inferred when None."""
-    r = _as_matrix(r, "R")
+    r = _as_array(r, "R", 2)
     if r.shape[0] != r.shape[1]:
         raise InputError(f"R must be square, got {r.shape}")
     dim = math.isqrt(r.shape[0]) if dim is None else _as_int(dim, "dim")
@@ -114,13 +114,13 @@ def r_from_phase_matrix(phases) -> np.ndarray:
 
     Row (k,l) holds M[k,l] at column (l,k). For any complex matrix M the
     result solves the braided Yang-Baxter equation; it is unitary exactly
-    when every entry of M is unimodular. It is refused above the 2-strand cap.
+    when every entry of M is unimodular. Above the 2-strand cap it is refused, an array uncopied.
     """
-    m = np.asarray(phases)
+    m = phases if isinstance(phases, np.ndarray) else _as_array(phases, "phase matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"phase matrix must be square, got shape {m.shape}")
     _check_strands(m.shape[0], 2)
-    return _phase_swap(_as_matrix(m, "phase matrix"))
+    return _phase_swap(_as_array(m, "phase matrix"))
 
 
 def _phase_swap(m: np.ndarray) -> np.ndarray:
@@ -268,15 +268,13 @@ def evaluate_braid_word(word: BraidWord, r, dim: int) -> np.ndarray:
     R must be invertible; exact singularity or overflow is an input error,
     and so is a word that is not a :class:`BraidWord`.
     """
-    if not isinstance(word, BraidWord):
-        raise InputError(f"word must be a BraidWord, got {word!r}")
+    _check_type(word, BraidWord, "word")
     r, dim = _operator(r, dim)
     total = _check_strands(dim, word.n_strands)
     r_inv = None
     if any(x < 0 for x in word.letters):
         try:
-            # validated like R itself: an overflowing inverse is an input error
-            r_inv = _as_matrix(np.linalg.inv(r), "R")
+            r_inv = _as_array(np.linalg.inv(r), "R^-1")
         except np.linalg.LinAlgError as exc:
             raise InputError("R is singular; braid letters need an inverse") from exc
     out = np.eye(total, dtype=np.complex128)

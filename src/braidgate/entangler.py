@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import InputError
 from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
-from .tensorops import CoefficientTensor, StateVector, _as_int, _as_ints, _as_tol
+from .tensorops import CoefficientTensor, StateVector, _as_array, _as_int, _as_ints, _as_tol
+from .tensorops import _check_type
 
 
 class Convention(str, enum.Enum):
@@ -51,11 +52,10 @@ def as_convention(value) -> Convention:
 
 @dataclass(frozen=True, eq=False)
 class MonomialGateMatrix:
-    """Square matrix with exactly one nonzero per row and per column.
+    """Square matrix with at most one nonzero per row and per column.
 
-    Stored sparsely: ``col_of_row[r]`` is the 0-based column of row r's
-    nonzero and ``value_of_row[r]`` its value. ``col_of_row`` must be a
-    permutation, which makes the one-per-column property structural.
+    Stored sparsely: row r holds ``value_of_row[r]``, which may be zero, at the
+    0-based column ``col_of_row[r]``; ``col_of_row`` must be a permutation.
     """
 
     n: int
@@ -65,16 +65,14 @@ class MonomialGateMatrix:
     def __post_init__(self):
         n = _as_int(self.n, "n")
         cols = self.col_of_row
-        if np.asarray(cols).dtype.kind not in "iu":
-            cols = _as_ints(cols, "col_of_row")
-        cols = np.ascontiguousarray(cols, dtype=np.int64)
-        vals = np.ascontiguousarray(self.value_of_row, dtype=np.complex128)
+        if not (isinstance(cols, np.ndarray) and cols.dtype.kind in "iu"):
+            cols = np.array(_as_ints(cols, "col_of_row"))
+        cols = cols.astype(np.int64)
+        vals = _as_array(self.value_of_row, "value_of_row")
         if n < 1 or cols.shape != (n,) or vals.shape != (n,):
             raise InputError("column and value arrays must both have length n >= 1")
         if not np.array_equal(np.sort(cols), np.arange(n)):
             raise InputError("col_of_row is not a permutation of 0..n-1")
-        if not np.isfinite(vals).all():
-            raise InputError("monomial values contain non-finite entries")
         cols.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -116,6 +114,7 @@ def construct_entangler(
     ``theorem``).
     """
     convention = as_convention(convention)
+    _check_type(tensor, CoefficientTensor, "tensor")
     if len(set(tensor.dims)) > 1:
         raise InputError(f"entangler construction needs uniform dims, got {tensor.dims}")
     n = tensor.size

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import CoefficientTensor, _as_dims, _as_int, _as_tol, _check_digits, _check_size
+from .tensorops import CoefficientTensor, _as_array, _as_dims, _as_int, _as_tol, _check_type
+from .tensorops import _check_digits, _check_size
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -195,6 +196,8 @@ def quadric_generators(dims) -> tuple[QuadricGenerator, ...]:
 
 def evaluate_quadric(gen: QuadricGenerator, tensor: CoefficientTensor) -> complex:
     """Value of one generator on a tensor (no normalization applied)."""
+    _check_type(gen, QuadricGenerator, "generator")
+    _check_type(tensor, CoefficientTensor, "tensor")
     if gen.dims != tensor.dims:
         raise InputError(f"generator dims {gen.dims} do not match tensor dims {tensor.dims}")
     kp, lp = gen.swapped()
@@ -267,6 +270,7 @@ def is_fully_separable(
     ``max_violation``. A shape with at most one slot of size above 1 has no
     generators; its tensors are separable with ``max_violation`` 0.0.
     """
+    _check_type(tensor, CoefficientTensor, "tensor")
     return _verdict(tensor, _as_tol(tol))
 
 
@@ -295,6 +299,7 @@ def rank1_oracle(tensor: CoefficientTensor, tol: float = DEFAULT_SEPARABILITY_TO
     scaled by a power of two, so entries beyond the float range keep their
     singular values finite.
     """
+    _check_type(tensor, CoefficientTensor, "tensor")
     return _rank1(tensor, _as_tol(tol))
 
 
@@ -324,18 +329,15 @@ def segre_map(factors) -> CoefficientTensor:
     error. A product below the normal range is formed instead from the
     factors scaled by powers of two: the same projective point, in range.
     """
-    vecs = []
-    for pos, f in enumerate(factors, start=1):
-        v = np.asarray(f, dtype=np.complex128)
-        if v.ndim != 1:
-            raise InputError(f"factor {pos} must be one-dimensional, got shape {v.shape}")
-        if v.size == 0 or not np.any(v):
-            raise InputError(f"factor {pos} is zero; not a projective point")
-        if not np.isfinite(v).all():
-            raise InputError(f"factor {pos} contains non-finite entries")
-        vecs.append(np.ascontiguousarray(v))
+    try:
+        vecs = [_as_array(f, f"factor {pos}", 1) for pos, f in enumerate(factors, start=1)]
+    except TypeError as exc:  # factors is not iterable
+        raise InputError(f"factors must be a sequence of vectors, got {factors!r}") from exc
     if not vecs:
         raise InputError("need at least one factor")
+    for pos, v in enumerate(vecs, start=1):
+        if not np.any(v):
+            raise InputError(f"factor {pos} is zero; not a projective point")
     _check_size(tuple(v.size for v in vecs))
     with np.errstate(over="ignore", invalid="ignore"):
         out = functools.reduce(np.multiply.outer, vecs)

@@ -16,7 +16,7 @@ from .braid import BraidRelationReport, YbeReport
 from .entangler import MonomialGateMatrix
 from .errors import InputError
 from .segre import QuadricGenerator, SeparabilityVerdict
-from .tensorops import CoefficientTensor, StateVector
+from .tensorops import CoefficientTensor, StateVector, _as_array
 
 
 def _pair(z: complex) -> list[float]:
@@ -56,7 +56,7 @@ def tensor_from_payload(obj) -> CoefficientTensor:
     if not isinstance(entries, list):
         raise InputError("'entries' must be a list of [re, im] pairs")
     values = [_parse_pair(e, f"entries[{i}]") for i, e in enumerate(entries)]
-    return CoefficientTensor(tuple(dims), np.array(values, dtype=np.complex128))
+    return CoefficientTensor(tuple(dims), values)
 
 
 def state_to_payload(state: StateVector) -> dict:
@@ -64,8 +64,7 @@ def state_to_payload(state: StateVector) -> dict:
 
 
 def matrix_to_payload(matrix) -> dict:
-    arr = np.asarray(matrix, dtype=np.complex128)
-    return {"rows": [_complex_list(row) for row in arr]}
+    return {"rows": [_complex_list(row) for row in _as_array(matrix, "matrix", 2)]}
 
 
 def matrix_from_payload(obj) -> np.ndarray:
@@ -74,20 +73,12 @@ def matrix_from_payload(obj) -> np.ndarray:
     rows = obj["rows"]
     if not isinstance(rows, list) or not rows:
         raise InputError("'rows' must be a non-empty list of rows")
-    width = None
     parsed = []
     for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise InputError(f"rows[{i}] must be a list of [re, im] pairs")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InputError(f"rows[{i}] has {len(row)} entries, expected {width}")
+        if not isinstance(row, list) or len(row) != len(rows[0]):
+            raise InputError(f"rows[{i}] must be a list of [re, im] pairs as long as rows[0]")
         parsed.append([_parse_pair(e, f"rows[{i}][{k}]") for k, e in enumerate(row)])
-    arr = np.array(parsed, dtype=np.complex128)
-    if not np.isfinite(arr).all():
-        raise InputError("matrix contains non-finite entries")
-    return arr
+    return _as_array(parsed, "matrix", 2)
 
 
 def monomial_to_payload(gate: MonomialGateMatrix) -> dict:

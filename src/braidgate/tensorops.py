@@ -38,8 +38,10 @@ def _as_int(value, name: str) -> int:
 
 
 def _as_ints(values, name: str) -> tuple[int, ...]:
-    """A sequence of integer arguments as a tuple of ints, see :func:`_as_int`."""
+    """A sequence (not a str or bytes) of integers as a tuple of ints, see :func:`_as_int`."""
     try:
+        if isinstance(values, (str, bytes)):
+            raise TypeError
         return tuple(_as_int(v, name) for v in values)
     except (TypeError, InputError) as exc:
         raise InputError(f"{name} must be a sequence of integers, got {values!r}") from exc
@@ -58,13 +60,22 @@ def _check_size(dims: tuple[int, ...]) -> None:
         raise ResourceLimitError(f"tensor of dims {dims} exceeds cap {TENSOR_SIZE_CAP} entries")
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise InputError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+def _as_array(value, name: str, ndim: int | None = None) -> np.ndarray:
+    """A caller's array as a finite C-ordered complex128 array of ``ndim`` axes, else InputError."""
+    try:
+        arr = np.asarray(value, dtype=np.complex128, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be an array of numbers") from exc
+    if ndim is not None and arr.ndim != ndim:
+        raise InputError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional, got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise InputError(f"{name} contains non-finite entries")
+        raise InputError(f"{name} entries contain non-finite values")
     return arr
+
+
+def _check_type(value, kind: type, name: str) -> None:
+    if not isinstance(value, kind):
+        raise InputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _as_tol(tol) -> float:
@@ -114,22 +125,20 @@ class CoefficientTensor:
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
-        entries = np.ascontiguousarray(self.entries, dtype=np.complex128).reshape(-1)
+        entries = _as_array(self.entries, "tensor").reshape(-1)
         if entries.size != math.prod(dims):
             raise InputError(
                 f"{entries.size} entries incompatible with dims {dims} "
                 f"(expected {math.prod(dims)})"
             )
-        if not np.isfinite(entries).all():
-            raise InputError("tensor entries contain non-finite values")
         entries.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_array(cls, arr) -> "CoefficientTensor":
-        arr = np.asarray(arr, dtype=np.complex128)
-        return cls(arr.shape, arr.reshape(-1))
+        arr = _as_array(arr, "tensor")
+        return cls(arr.shape, arr)
 
     @property
     def size(self) -> int:
@@ -181,8 +190,8 @@ class StateVector:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two dense matrices, size-capped; overflow is an input error."""
-    a = _as_matrix(a, "left factor")
-    b = _as_matrix(b, "right factor")
+    a = _as_array(a, "left factor", 2)
+    b = _as_array(b, "right factor", 2)
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
     if rows > KRON_DIM_CAP or cols > KRON_DIM_CAP:
@@ -199,7 +208,7 @@ def is_unitary(a, tol: float = 1e-12) -> tuple[bool, float]:
 
     The residual is the max-abs entry of ``a^H a - I``; overflow there is an input error.
     """
-    a = _as_matrix(a)
+    a = _as_array(a, "matrix", 2)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"unitarity check needs a square matrix, got {a.shape}")
     tol = _as_tol(tol)

@@ -464,6 +464,21 @@ def test_monomial_ybe_residual_within_four_ulp_of_the_dense_kernel(dim, seed, ph
     assert report.passed == (ref <= report.tolerance)
 
 
+@pytest.mark.parametrize("convention", ["theorem", "paper-matrix"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_monomial_core_reads_a_gate_with_zero_values(dim, convention):
+    # a zero coefficient leaves an all-zero row, so check_yang_baxter takes
+    # the dense kernel; the monomial core, given the gate's own arrays, reads
+    # the same residual bit for bit (Gaussian-integer products are exact)
+    rng = np.random.default_rng(dim)
+    coeffs = np.array([1, 1j]) @ rng.integers(-3, 4, size=(2, dim * dim))
+    coeffs[[1, dim * dim - 2]] = 0
+    gate = construct_entangler(CoefficientTensor((dim, dim), coeffs), convention)
+    rows = np.argsort(gate.col_of_row)
+    residual = braid_module._monomial_ybe_residual(rows, gate.value_of_row[rows], dim)
+    assert check_yang_baxter(gate.dense(), dim).residual == residual
+
+
 def test_only_monomial_r_is_read_as_a_permutation(monkeypatch):
     taken = []
     for name in ("_monomial_ybe_residual", "_dense_ybe_residual"):
@@ -658,6 +673,18 @@ def test_phase_swaps_above_the_two_strand_cap_are_refused_before_allocating():
         _, peak = peak_of(lambda: pytest.raises(ResourceLimitError, call))
         assert peak < 2**20
     assert r_from_phase_matrix(np.ones((64, 64))).shape == (4096, 4096)
+
+
+def test_braid_words_of_a_fortran_ordered_r_are_those_of_its_c_ordered_copy():
+    # R is read in C order whatever its memory layout, so every product sees
+    # the same operand; a Fortran-ordered R once took other BLAS paths
+    for dim in (2, 3, 4):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            r = gaussian_matrix(dim * dim, rng)
+            word = BraidWord(3, tuple(int(x) for x in rng.choice([1, 2, -1, -2], size=4)))
+            fortran = evaluate_braid_word(word, np.asfortranarray(r), dim)
+            assert np.array_equal(fortran, evaluate_braid_word(word, r, dim))
 
 
 def test_braid_word_is_written_back_into_one_buffer():

@@ -517,6 +517,25 @@ def test_overflowing_r_exits_two_without_numpy_warnings(tmp_path):
         assert proc.stderr == "error: the Yang-Baxter products of R overflow\n"
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literals_exit_two(tmp_path, capsys, literal):
+    # Python's json module reads these literals as floats
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text('{"dims": [2, 2], "entries": [[1, 0], [0, %s], [0, 0], [1, 0]]}' % literal)
+    rows = [[[float(i == j), 0] for j in range(4)] for i in range(4)]
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"rows": rows}).replace("[1.0, 0]", "[%s, 0]" % literal, 1))
+    for command, path, kind in (
+        ("separability", tensor, "tensor"),
+        ("construct", tensor, "tensor"),
+        ("ybe", matrix, "matrix"),
+        ("braid", matrix, "matrix"),
+    ):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {kind} entries contain non-finite values\n"
+
+
 def test_unreadable_json_numbers_and_bytes_exit_two(tmp_path, capsys):
     huge = "1" + "0" * 400
     files = {

@@ -4,7 +4,8 @@ Tolerances go through ``tensorops._as_tol``, the two-factor operator R
 through ``braid._operator`` and the strand count through
 ``braid._check_strands``. The counts below are taken by patching each check
 in every module that calls it. Integer arguments go through
-``tensorops._as_int``.
+``tensorops._as_int``, array arguments through ``tensorops._as_array`` and
+arguments of a package type through ``tensorops._check_type``.
 """
 
 import json
@@ -23,18 +24,25 @@ from braidgate import (
     InputError,
     MonomialGateMatrix,
     QuadricGenerator,
+    StateVector,
+    apply_entangler,
     certify_entangler,
     check_algebraic_yang_baxter,
     check_braid_relations,
     check_yang_baxter,
+    construct_entangler,
     evaluate_braid_word,
+    evaluate_quadric,
     is_fully_separable,
     is_unitary,
+    kron,
     lex_index,
     pattern_permutation,
+    phase_gate,
     r_from_phase_matrix,
     random_phases,
     rank1_oracle,
+    segre_map,
     to_algebraic,
 )
 from braidgate.serialize import matrix_to_payload, tensor_to_payload
@@ -200,3 +208,85 @@ def test_braid_words_must_be_braid_words(word):
     # a tuple once raised AttributeError from the strand check
     with pytest.raises(InputError, match="word must be a BraidWord"):
         evaluate_braid_word(word, R, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_phases("22", 1),
+    lambda: random_phases(b"22", 1),
+    lambda: lex_index("12", (2, 2)),
+    lambda: CoefficientTensor("4", np.ones(4)),
+    lambda: BraidWord(3, "12"),
+])
+def test_a_bare_string_is_not_a_sequence_of_integers(call):
+    # "22" was once read character by character, as the dims (2, 2)
+    with pytest.raises(InputError, match="must be a sequence of integers, got"):
+        call()
+
+
+# numpy's own conversion errors once escaped as ValueError or TypeError
+ARRAY_CALLS = {
+    "check_yang_baxter": check_yang_baxter,
+    "to_algebraic": to_algebraic,
+    "evaluate_braid_word": lambda x: evaluate_braid_word(BraidWord(3, (1,)), x, 2),
+    "is_unitary": is_unitary,
+    "kron": lambda x: kron(np.eye(2), x),
+    "r_from_phase_matrix": r_from_phase_matrix,
+    "CoefficientTensor": lambda x: CoefficientTensor((2,), x),
+    "from_array": CoefficientTensor.from_array,
+    "StateVector": lambda x: StateVector((2,), x),
+    "MonomialGateMatrix columns": lambda x: MonomialGateMatrix(2, x, [1, 1]),
+    "MonomialGateMatrix values": lambda x: MonomialGateMatrix(2, [0, 1], x),
+    "segre_map": lambda x: segre_map([[1, 2], x]),
+}
+UNREADABLE = {"ragged": [[1, 0], [0]], "malformed string": "ab", "object": object()}
+# a string or an object was already refused here, by the shape or integer check
+READ_BEFORE = {("r_from_phase_matrix", "malformed string"), ("r_from_phase_matrix", "object"),
+               ("MonomialGateMatrix columns", "malformed string"),
+               ("MonomialGateMatrix columns", "object")}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in ARRAY_CALLS for bad in UNREADABLE if (name, bad) not in READ_BEFORE
+])
+def test_arrays_numpy_cannot_read_as_numbers_are_input_errors(name, bad):
+    # columns are integers, read by the integer check
+    message = "must be (an array of numbers|a sequence of integers, got .*)$"
+    with pytest.raises(InputError, match=message):
+        ARRAY_CALLS[name](UNREADABLE[bad])
+
+
+GEN = QuadricGenerator(1, (1, 1), (2, 2), (2, 2))
+# a tuple, list or array where a package type belongs once raised AttributeError
+TYPED_CALLS = {
+    "is_fully_separable": lambda: is_fully_separable(T.as_array()),
+    "rank1_oracle": lambda: rank1_oracle(T.entries),
+    "construct_entangler": lambda: construct_entangler(T.as_array()),
+    "phase_gate": lambda: phase_gate(T.as_array()),
+    "apply_entangler": lambda: apply_entangler(T.as_array().tolist()),
+    "certify_entangler": lambda: certify_entangler(T.as_array()),
+    "evaluate_quadric tensor": lambda: evaluate_quadric(GEN, T.as_array()),
+    "evaluate_quadric generator": lambda: evaluate_quadric((1, (1, 1), (2, 2)), T),
+}
+
+
+@pytest.mark.parametrize("name", list(TYPED_CALLS))
+def test_package_types_must_be_package_types(name):
+    with pytest.raises(InputError, match="^(tensor must be a CoefficientTensor|"
+                                         "generator must be a QuadricGenerator), got "):
+        TYPED_CALLS[name]()
+
+
+@pytest.mark.parametrize("factors", [5, None, np.array(5)])
+def test_segre_map_factors_must_be_a_sequence(factors):
+    # each raised TypeError from the factor loop
+    with pytest.raises(InputError, match="^factors must be a sequence of vectors"):
+        segre_map(factors)
+
+
+def test_arrays_are_read_in_c_order():
+    # a Fortran-ordered array is copied into C order once, at the boundary
+    f = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    assert CoefficientTensor.from_array(f).entries.tolist() == list(range(6))
+    assert tensorops_module._as_array(f, "f").flags.c_contiguous
+    c = np.arange(4, dtype=np.complex128)
+    assert tensorops_module._as_array(c, "c") is c
