@@ -114,7 +114,8 @@ def r_from_phase_matrix(phases) -> np.ndarray:
 
     Row (k,l) holds M[k,l] at column (l,k). For any complex matrix M the
     result solves the braided Yang-Baxter equation; it is unitary exactly
-    when every entry of M is unimodular. Above the 2-strand cap it is refused, an array uncopied.
+    when every entry of M is unimodular. A phase matrix above the 2-strand cap
+    is refused before it is converted, so an oversized array is not copied.
     """
     m = phases if isinstance(phases, np.ndarray) else _as_array(phases, "phase matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -193,12 +194,14 @@ def _monomial_ybe_residual(rows: np.ndarray, values: np.ndarray, dim: int) -> fl
         return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
     # row 0 of x follows R12 R23 R12 and row 1 R23 R12 R23, rightmost factor
-    # first; s is the place value of the lower of the two digits R acts on
-    x, v, s = np.arange(dim**3), 1.0, np.array([[dim], [1]])
+    # first; s is the place value of the lower of the two digits R acts on.
+    # The first factor's values are v itself, not products with 1.0
+    x, v, s = np.arange(dim**3), None, np.array([[dim], [1]])
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):
             pair = x // s % (dim * dim)
-            x, v, s = x + (rows[pair] - pair) * s, times(values[pair], v), s[::-1]
+            step = values[pair]
+            x, v, s = x + (rows[pair] - pair) * s, step if v is None else times(step, v), s[::-1]
         (row_l, row_r), (v_l, v_r) = x, v
         worst = np.where(row_l == row_r, np.abs(v_l - v_r), np.maximum(np.abs(v_l), np.abs(v_r)))
     return float(np.max(worst))

@@ -19,7 +19,9 @@ coefficient tensor can have an entangled ``paper-matrix`` image (see
 
 R's row values are at once the output state, the phase gate's diagonal and
 the tensor whose separability decides entangling: each question builds R
-once and reads its answer from them.
+once and reads its answer from them. Results built here from parts already
+checked (R, the pattern, the phase gate, the state and the tensor of R's
+values) skip the public constructors' checks.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from .errors import InputError
 from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
-from .tensorops import CoefficientTensor, StateVector, _as_array, _as_int, _as_ints, _as_tol
-from .tensorops import _check_type
+from .tensorops import CoefficientTensor, StateVector, _as_int, _as_ints, _as_own_array, _as_tol
+from .tensorops import _check_type, _trusted
 
 
 class Convention(str, enum.Enum):
@@ -56,6 +58,7 @@ class MonomialGateMatrix:
 
     Stored sparsely: row r holds ``value_of_row[r]``, which may be zero, at the
     0-based column ``col_of_row[r]``; ``col_of_row`` must be a permutation.
+    Both arrays are copied from the caller's and kept read-only.
     """
 
     n: int
@@ -68,7 +71,7 @@ class MonomialGateMatrix:
         if not (isinstance(cols, np.ndarray) and cols.dtype.kind in "iu"):
             cols = np.array(_as_ints(cols, "col_of_row"))
         cols = cols.astype(np.int64)
-        vals = _as_array(self.value_of_row, "value_of_row")
+        vals = _as_own_array(self.value_of_row, "value_of_row")
         if n < 1 or cols.shape != (n,) or vals.shape != (n,):
             raise InputError("column and value arrays must both have length n >= 1")
         if not np.array_equal(np.sort(cols), np.arange(n)):
@@ -125,7 +128,7 @@ def construct_entangler(
     )
     values[0] = tensor.entries[0]
     values[n - 1] = tensor.entries[n - 1]
-    return MonomialGateMatrix(n, _entangler_pattern(n), values)
+    return _trusted(MonomialGateMatrix, n=n, col_of_row=_entangler_pattern(n), value_of_row=values)
 
 
 def pattern_permutation(n: int) -> MonomialGateMatrix:
@@ -133,13 +136,15 @@ def pattern_permutation(n: int) -> MonomialGateMatrix:
     n = _as_int(n, "n")
     if n < 2:
         raise InputError("pattern permutation needs n >= 2")
-    return MonomialGateMatrix(n, _entangler_pattern(n), np.ones(n, dtype=np.complex128))
+    return _trusted(MonomialGateMatrix, n=n, col_of_row=_entangler_pattern(n),
+                    value_of_row=np.ones(n, dtype=np.complex128))
 
 
 def _phase_gate_of(gate: MonomialGateMatrix) -> MonomialGateMatrix:
     """R @ P for an entangler R already built: P is R's own pattern and an
     involution, so the diagonal is R's row values, bit for bit."""
-    return MonomialGateMatrix(gate.n, np.arange(gate.n), gate.value_of_row)
+    return _trusted(MonomialGateMatrix, n=gate.n, col_of_row=np.arange(gate.n, dtype=np.int64),
+                    value_of_row=gate.value_of_row)
 
 
 def phase_gate(tensor: CoefficientTensor, convention=Convention.THEOREM) -> MonomialGateMatrix:
@@ -156,7 +161,7 @@ def apply_entangler(tensor: CoefficientTensor, convention=Convention.THEOREM) ->
     middle amplitudes appear at the digit-complemented positions instead.
     """
     gate = construct_entangler(tensor, convention)
-    return StateVector(tensor.dims, gate.value_of_row)
+    return _trusted(StateVector, dims=tensor.dims, amplitudes=gate.value_of_row)
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,8 @@ def certify_entangler(
     if convention is Convention.THEOREM:
         entangling = coefficient_verdict
     else:
-        entangling = _verdict(CoefficientTensor(tensor.dims, values), separability_tol)
+        entangling = _verdict(_trusted(CoefficientTensor, dims=tensor.dims, entries=values),
+                              separability_tol)
     return EntanglerReport(
         convention=convention,
         unitary=residual <= unitary_tol,

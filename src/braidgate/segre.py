@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .tensorops import CoefficientTensor, _as_array, _as_dims, _as_int, _as_tol, _check_type
-from .tensorops import _check_digits, _check_size
+from .tensorops import _check_digits, _check_size, _trusted
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -172,13 +172,18 @@ def _generator_at(dims: tuple[int, ...], i: int) -> QuadricGenerator:
     are skipped: they would cost more than the rest of a small verdict.
     """
     ka, la, kp, _ = _generator_table(dims)
-    k, l, kpd = zip(*(d.tolist() for d in np.unravel_index([ka[i], la[i], kp[i]], dims)))
+    k, l, kpd = (_digits(int(flat[i]), dims) for flat in (ka, la, kp))
     slot = next(p for p, (x, y) in enumerate(zip(k, kpd), start=1) if x != y)
-    gen = object.__new__(QuadricGenerator)
-    fields = (slot, tuple(x + 1 for x in k), tuple(x + 1 for x in l), dims)
-    for name, value in zip(("slot", "k", "l", "dims"), fields):
-        object.__setattr__(gen, name, value)
-    return gen
+    return _trusted(QuadricGenerator, slot=slot, k=k, l=l, dims=dims)
+
+
+def _digits(flat: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The 1-based multi-index of the 0-based lex index ``flat``."""
+    out = []
+    for d in reversed(dims):
+        flat, digit = divmod(flat, d)
+        out.append(digit + 1)
+    return tuple(reversed(out))
 
 
 def quadric_generators(dims) -> tuple[QuadricGenerator, ...]:
@@ -343,4 +348,5 @@ def segre_map(factors) -> CoefficientTensor:
         out = functools.reduce(np.multiply.outer, vecs)
     if np.max(np.abs(out.view(np.float64))) < np.finfo(np.float64).tiny:
         out = functools.reduce(np.multiply.outer, [_scaled(v) for v in vecs])
-    return CoefficientTensor.from_array(out)
+    # the product is the result's own array: only its overflow is left to check
+    return _trusted(CoefficientTensor, dims=out.shape, entries=_as_array(out, "tensor").reshape(-1))

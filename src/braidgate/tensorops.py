@@ -73,6 +73,23 @@ def _as_array(value, name: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _as_own_array(value, name: str, ndim: int | None = None) -> np.ndarray:
+    """:func:`_as_array`, copied when numpy handed back the caller's own memory."""
+    arr = _as_array(value, name, ndim)
+    return arr.copy() if arr is value or not arr.flags.owndata else arr
+
+
+def _trusted(kind: type, **fields):
+    """A frozen ``kind`` from fields already checked, without its constructor's
+    checks. Arrays among them are fresh or read-only, and are marked read-only."""
+    obj = object.__new__(kind)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _check_type(value, kind: type, name: str) -> None:
     if not isinstance(value, kind):
         raise InputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
@@ -117,7 +134,8 @@ class CoefficientTensor:
     """An m-way complex coefficient array stored flat in lex order.
 
     ``entries[lex_index(k, dims) - 1]`` is the coefficient at multi-index
-    ``k``. Entries must be finite.
+    ``k``. Entries must be finite; they are copied from the caller's array
+    and kept read-only.
     """
 
     dims: tuple[int, ...]
@@ -125,7 +143,7 @@ class CoefficientTensor:
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
-        entries = _as_array(self.entries, "tensor").reshape(-1)
+        entries = _as_own_array(self.entries, "tensor").reshape(-1)
         if entries.size != math.prod(dims):
             raise InputError(
                 f"{entries.size} entries incompatible with dims {dims} "
@@ -137,8 +155,8 @@ class CoefficientTensor:
 
     @classmethod
     def from_array(cls, arr) -> "CoefficientTensor":
-        arr = _as_array(arr, "tensor")
-        return cls(arr.shape, arr)
+        arr = _as_own_array(arr, "tensor")
+        return _trusted(cls, dims=_as_dims(arr.shape), entries=arr.reshape(-1))
 
     @property
     def size(self) -> int:
@@ -168,7 +186,7 @@ def random_phases(dims, seed: int) -> CoefficientTensor:
     dims = _as_dims(dims)
     _check_size(dims)
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, math.prod(dims))
-    return CoefficientTensor(dims, np.exp(1j * theta))
+    return _trusted(CoefficientTensor, dims=dims, entries=np.exp(1j * theta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +203,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", tensor.entries)
 
     def to_tensor(self) -> CoefficientTensor:
-        return CoefficientTensor(self.dims, self.amplitudes)
+        return _trusted(CoefficientTensor, dims=self.dims, entries=self.amplitudes)
 
 
 def kron(a, b) -> np.ndarray:

@@ -1,0 +1,146 @@
+"""Results built inside the library from checked parts, and the caller's arrays.
+
+The entangler calls and the separability witness skip the public
+constructors' checks (``tensorops._trusted``); their results must equal the
+public builds field for field. The public constructors copy the caller's
+arrays, so a caller's later writes reach no tensor, state or gate.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from braidgate import (
+    CoefficientTensor,
+    Convention,
+    MonomialGateMatrix,
+    QuadricGenerator,
+    StateVector,
+    apply_entangler,
+    certify_entangler,
+    construct_entangler,
+    is_fully_separable,
+    pattern_permutation,
+    phase_gate,
+    quadric_generators,
+)
+from braidgate.segre import _generator_at, _generator_table
+
+# the shapes of the benchmark's gates workload
+GATE_SHAPES = [(2, 2), (3, 3), (4, 4), (6, 6), (2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5),
+               (6, 6, 6), (2, 2, 2, 2), (3, 3, 3, 3), (2,) * 6]
+
+
+def seeded_entries(dims, kind, seed):
+    rng = np.random.default_rng([seed, *dims])
+    n = math.prod(dims)
+    if kind == "unimodular":
+        return np.exp(2j * np.pi * rng.random(n))
+    entries = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "zero":
+        # every third coefficient a zero, with each sign of zero in each part
+        zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        for pos in range(0, n, 3):
+            entries[pos] = zeros[pos // 3 % 4]
+    return entries
+
+
+def assert_same_fields(built, public):
+    assert type(built) is type(public)
+    for f in dataclasses.fields(built):
+        x, y = getattr(built, f.name), getattr(public, f.name)
+        if isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray), f.name
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.flags.c_contiguous and y.flags.c_contiguous, f.name
+            assert not x.flags.writeable and not y.flags.writeable, f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+@pytest.mark.parametrize("kind", ["zero", "unimodular", "gaussian"])
+@pytest.mark.parametrize("dims", GATE_SHAPES, ids=str)
+def test_entangler_results_equal_their_public_builds(dims, kind):
+    t = CoefficientTensor(dims, seeded_entries(dims, kind, 14))
+    n = t.size
+    perm = pattern_permutation(n)
+    assert_same_fields(perm, MonomialGateMatrix(n, perm.col_of_row, perm.value_of_row))
+    assert perm.col_of_row.dtype == np.int64 and perm.value_of_row.dtype == np.complex128
+    for conv in Convention:
+        gate = construct_entangler(t, conv)
+        assert_same_fields(gate, MonomialGateMatrix(n, gate.col_of_row, gate.value_of_row))
+        assert gate.col_of_row.dtype == np.int64 and gate.value_of_row.dtype == np.complex128
+        tau = phase_gate(t, conv)
+        assert_same_fields(tau, MonomialGateMatrix(n, np.arange(n), gate.value_of_row))
+        state = apply_entangler(t, conv)
+        assert_same_fields(state, StateVector(dims, gate.value_of_row))
+        assert_same_fields(state.to_tensor(), CoefficientTensor(dims, gate.value_of_row))
+
+
+@pytest.mark.parametrize("kind", ["zero", "unimodular", "gaussian"])
+@pytest.mark.parametrize("dims", GATE_SHAPES, ids=str)
+def test_paper_matrix_verdict_is_the_verdict_of_the_gate_values(dims, kind):
+    t = CoefficientTensor(dims, seeded_entries(dims, kind, 15))
+    values = construct_entangler(t, "paper-matrix").value_of_row
+    expected = is_fully_separable(CoefficientTensor(t.dims, values))
+    got = certify_entangler(t, "paper-matrix").entangling
+    assert got == expected
+    assert got.max_violation.hex() == expected.max_violation.hex()
+    assert repr(got.witness) == repr(expected.witness)
+
+
+def checked_generator(dims, i):
+    """Generator i of the table, read with np.unravel_index and built by the
+    checked constructor."""
+    ka, la, kp, _ = _generator_table(dims)
+    k, l, kpd = (tuple(int(x) + 1 for x in np.unravel_index(a[i], dims)) for a in (ka, la, kp))
+    slot = next(p for p, (x, y) in enumerate(zip(k, kpd), start=1) if x != y)
+    return QuadricGenerator(slot, k, l, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 3, 3), (2,) * 5, (4, 4)], ids=str)
+def test_witnesses_equal_their_checked_builds(dims):
+    for i in range(_generator_table(dims)[0].size):
+        gen, ref = _generator_at(dims, i), checked_generator(dims, i)
+        # repr also tells a numpy integer from an int
+        assert gen == ref and repr(gen) == repr(ref)
+
+
+def test_quadric_generators_are_the_checked_builds():
+    dims = (3, 3, 3)
+    expected = tuple(checked_generator(dims, i) for i in range(_generator_table(dims)[0].size))
+    got = quadric_generators(dims)
+    assert got == expected and repr(got) == repr(expected)
+    assert len(got) == 243
+    assert got[0] == QuadricGenerator(1, (1, 1, 1), (2, 1, 2), dims)
+    assert got[-1] == QuadricGenerator(3, (2, 3, 2), (3, 2, 3), dims)
+
+
+def test_gate_constructor_copies_the_callers_values():
+    # a C-contiguous complex128 vector was once kept as is and made read-only
+    v = np.ones(2, dtype=np.complex128)
+    cols = np.array([1, 0])
+    gate = MonomialGateMatrix(2, cols, v)
+    assert v.flags.writeable and cols.flags.writeable
+    v[0], cols[0] = 5, 0
+    assert gate.value_of_row.tolist() == [1, 1] and gate.col_of_row.tolist() == [1, 0]
+    assert not gate.value_of_row.flags.writeable and not gate.col_of_row.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda e: CoefficientTensor((2, 2), e).entries,
+    lambda e: CoefficientTensor.from_array(e.reshape(2, 2)).entries,
+    lambda e: StateVector((2, 2), e).amplitudes,
+    lambda e: StateVector((2, 2), e).to_tensor().entries,
+], ids=["tensor", "from_array", "state", "state_to_tensor"])
+def test_tensor_and_state_constructors_copy_the_callers_entries(build):
+    # a C-contiguous complex128 array was once kept as a view, so a write to
+    # it changed the read-only entries
+    e = np.ones(4, dtype=np.complex128)
+    held = build(e)
+    e[0] = 5
+    assert e.flags.writeable and held.tolist() == [1, 1, 1, 1]
+    assert not held.flags.writeable and held.flags.c_contiguous
