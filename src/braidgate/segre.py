@@ -6,17 +6,21 @@ exactly when every degree-2 generator
 
     g = a[k] * a[l] - a[k with l_j at slot j] * a[l with k_j at slot j]
 
-vanishes. The generators are the 2x2 minors of the mode flattenings; this
-module builds flat index arrays for them once per shape (deduplicating
-minors that several modes share), scans them with numpy, and cross-checks
-verdicts with an independent rank-1 oracle based on singular values of the
-flattenings.
+vanishes. The generators are the 2x2 minors of the mode flattenings. This
+module fills flat index arrays for them by index arithmetic, dropping minors
+that several modes share, and keeps the tables of recently used shapes up to
+a byte bound. It scans them with numpy, and cross-checks verdicts with an
+independent rank-1 oracle based on singular values of the flattenings.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
+import threading
+from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,10 @@ DEFAULT_SEPARABILITY_TOL = 1e-9
 # table alone takes 32 MB. (3,)^6 has 518,319 generators; (2,)^11 has
 # 5,733,376.
 GENERATOR_CAP = 2**20
+
+# Bytes the cached generator tables may hold in all, array headers included.
+# A table at the cap takes 32 MiB, so the newest table is always kept.
+TABLE_CACHE_BYTES = 64 * 2**20
 
 # Generators per step of the violation scan. Its temporaries then stay near
 # 64 KB each, which the allocator reuses from call to call instead of
@@ -103,65 +111,140 @@ class SeparabilityVerdict:
         return MARGINAL_LOW < self.max_violation < MARGINAL_HIGH
 
 
-def _generator_count(dims: tuple[int, ...]) -> int:
-    """Number of canonical generators for ``dims``, in closed form.
-
-    Slot ``j`` pairs ``C(d_j, 2)`` digit pairs with ``C(R_j, 2)`` pairs of
-    rest multi-indices (``R_j = N / d_j``), less the rest pairs that differ
-    in one digit only, at an earlier slot ``p``: there are
-    ``(R_j / d_p) * C(d_p, 2)`` of those, and each repeats a slot-``p``
-    generator.
+def _slot_sizes(dims: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Per slot ``j``, in closed form: ``C(d_j, 2)`` digit pairs, and the
+    ``C(R_j, 2)`` pairs of rest multi-indices (``R_j = N / d_j``) less the
+    rest pairs that differ in one digit only, at an earlier slot ``p``:
+    there are ``(R_j / d_p) * C(d_p, 2)`` of those, and each would repeat a
+    slot-``p`` generator.
     """
     n = math.prod(dims)
-    total = 0
     for j, d in enumerate(dims):
         r = n // d
         repeats = sum(r // dp * math.comb(dp, 2) for dp in dims[:j])
-        total += math.comb(d, 2) * (math.comb(r, 2) - repeats)
-    return total
+        yield math.comb(d, 2), math.comb(r, 2) - repeats
 
 
-@functools.lru_cache(maxsize=64)
+def _generator_count(dims: tuple[int, ...]) -> int:
+    """Number of canonical generators for ``dims``, in closed form: per slot,
+    its digit pairs times its rest pairs that repeat no earlier slot's
+    generator (see :func:`_slot_sizes`).
+    """
+    return sum(digit_pairs * rest_pairs for digit_pairs, rest_pairs in _slot_sizes(dims))
+
+
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs ``u < v`` of ``range(n)`` in lex order; pair ``(u, v)`` is at
+    position ``u * (2n - u - 1) // 2 + (v - u - 1)``.
+    """
+    runs = np.arange(n - 1, -1, -1)
+    u = np.repeat(np.arange(n), runs)
+    # v counts up from u + 1 through each run of equal u
+    v = np.arange(u.size) + np.repeat(n - np.cumsum(runs), runs)
+    return u, v
+
+
+def _rest_offsets(rest: int, place: int, d: int) -> np.ndarray:
+    """Flat index, with digit 0 at the slot of size ``d`` and place value
+    ``place``, of each of the ``rest`` multi-indices of the other slots in
+    lex order.
+    """
+    idx = np.arange(rest)
+    return idx // place * (place * d) + idx % place
+
+
+def _table_bytes(table: tuple[np.ndarray, ...]) -> int:
+    """Bytes held by a table: its buffer and the headers of its four views."""
+    return sys.getsizeof(table[0].base) + sum(map(sys.getsizeof, table))
+
+
+class _TableCache:
+    """A table builder whose tables are kept by shape while they hold at most
+    ``TABLE_CACHE_BYTES`` in all; the least recently used go first.
+    """
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+        self._build = build
+        self._lock = threading.Lock()
+        self.tables: OrderedDict[tuple[int, ...], tuple[np.ndarray, ...]] = OrderedDict()
+        self.nbytes = 0
+
+    def __call__(self, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        with self._lock:
+            table = self.tables.get(dims)
+            if table is not None:
+                self.tables.move_to_end(dims)
+                return table
+            table = self.tables[dims] = self._build(dims)
+            self.nbytes += _table_bytes(table)
+            while self.nbytes > TABLE_CACHE_BYTES:
+                self.nbytes -= _table_bytes(self.tables.popitem(last=False)[1])
+            return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self.tables.clear()
+            self.nbytes = 0
+
+
+@_TableCache
 def _generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Flat 0-based index arrays ``(k, l, kp, lp)`` of the canonical generators.
 
     Generator ``i`` is ``e[k[i]] * e[l[i]] - e[kp[i]] * e[lp[i]]``.
     Enumeration order: slot ascending, then slot-digit pair, then the lex
-    pair of remaining digits. A pair of remaining digits that differ in one
-    digit only, at an earlier slot, is dropped: its generator repeats one of
-    that earlier slot (a minor with two varying slots is a minor of both).
-    Refuses shapes beyond ``GENERATOR_CAP``, and returns empty arrays for
-    shapes with no generators, before allocating anything sized by the shape.
+    pair ``(u, v)`` of rest multi-indices. The rest pairs dropped at slot
+    ``j`` are the repeats that :func:`_generator_count` subtracts: pairs
+    that differ in one digit only, at an earlier slot ``p``, whose generator
+    is one of slot ``p`` (a minor with two varying slots is a minor of
+    both). They are dropped by their position in the pair enumeration.
+
+    With digit ``a`` at slot ``j``, whose place value is ``place_j``, rest
+    multi-index ``u`` has flat index ``a * place_j + off[u]`` (see
+    :func:`_rest_offsets`). Each slot adds those into its four blocks of one
+    ``(4, count)`` buffer, which is made read-only before its rows are
+    returned as views. Refuses shapes beyond ``GENERATOR_CAP`` before
+    allocating anything sized by the shape; a shape with no generators
+    allocates nothing sized by the shape either. Tables are cached by shape
+    (see :class:`_TableCache`).
     """
     count = _generator_count(dims)
     if count > GENERATOR_CAP:
         raise ResourceLimitError(
             f"shape {dims} has {count} quadric generators, beyond the cap of {GENERATOR_CAP}"
         )
-    if count == 0:
-        empty = np.empty(0, dtype=np.intp)
-        empty.setflags(write=False)
-        return (empty,) * 4
     n = math.prod(dims)
-    flat = np.arange(n).reshape(dims)
-    cols: list[list[np.ndarray]] = [[], [], [], []]
-    for j, d in enumerate(dims):
-        if d < 2 or d == n:  # no digit pairs, or no pairs of remaining digits
+    pairs = functools.cache(_pairs)  # slots of one size share their pair lists
+    table = np.empty((4, count), dtype=np.intp)
+    start = 0
+    for j, (d, (digit_pairs, rest_pairs)) in enumerate(zip(dims, _slot_sizes(dims))):
+        if digit_pairs * rest_pairs == 0:
             continue
-        rows = np.moveaxis(flat, j, 0).reshape(d, -1)
-        a, b = (x[:, None] for x in np.triu_indices(d, 1))
-        u, v = np.triu_indices(rows.shape[1], 1)
+        place, rest = math.prod(dims[j + 1:]), n // d
+        u, v = pairs(rest)
         if j:
-            rest = np.unravel_index(np.arange(rows.shape[1]), dims[:j] + dims[j + 1:])
-            differ = [digit[u] != digit[v] for digit in rest]
-            repeats = (sum(differ) == 1) & (sum(differ[:j]) == 1)
-            u, v = u[~repeats], v[~repeats]
-        for col, idx in zip(cols, (rows[a, u], rows[b, v], rows[b, u], rows[a, v])):
-            col.append(idx.ravel())
-    arrays = tuple(np.concatenate(col) for col in cols)
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+            keep = np.ones(u.size, dtype=bool)
+            for p, dp in enumerate(dims[:j]):
+                # rest pairs (w + c * step, w + c2 * step) with c < c2: they
+                # differ only at slot p, whose place value among the rest is step
+                step = math.prod(dims[p + 1:]) // d
+                c, c2 = (x[:, None] * step for x in pairs(dp))
+                first = c + _rest_offsets(rest // dp, step, dp)
+                keep[first * (2 * rest - first - 1) // 2 + (c2 - c) - 1] = False
+            u, v = u[keep], v[keep]
+        off = _rest_offsets(rest, place, d)
+        u, v = off[u], off[v]
+        a, b = (x[:, None] * place for x in pairs(d))
+        stop = start + digit_pairs * rest_pairs
+        k, l, kp, lp = (row[start:stop].reshape(digit_pairs, rest_pairs) for row in table)
+        np.add(a, u, out=k)
+        np.add(b, v, out=l)
+        np.add(b, u, out=kp)
+        np.add(a, v, out=lp)
+        start = stop
+    table.setflags(write=False)
+    return tuple(table)
 
 
 def _generator_at(dims: tuple[int, ...], i: int) -> QuadricGenerator:

@@ -223,7 +223,7 @@ def test_generators_counts(capsys):
 
 
 def test_generators_zero_count_shape_allocates_nothing(capsys):
-    _generator_table.cache_clear()
+    _generator_table.clear()
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "generators", "--dims", "10000000,1")
