@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: construct | entangle | separability | generators | ybe | braid
-| random. All payloads are JSON on stdout (or ``--output FILE``);
-diagnostics go to stderr. Exit codes: 0 success (and checks passed where
-the command asserts any), 1 a check failed, 2 bad input or usage.
+| random. ``main`` writes the payload each returns as JSON on stdout (or
+``--output FILE``); diagnostics go to stderr. Exit codes: 0 success (and
+asserted checks passed), 1 a check failed, 2 bad input or usage.
 """
 
 from __future__ import annotations
@@ -70,28 +70,24 @@ def _resolve_r_source(args, n_strands: int) -> tuple[np.ndarray, int]:
     return r, dim
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[dict, int]:
     tensor = _load_tensor(args.input)
     gate = construct_entangler(tensor, args.convention)
-    payload = {
+    return {
         "convention": args.convention,
         "n": gate.n,
         "R": serialize.monomial_to_payload(gate),
         "P": serialize.monomial_to_payload(pattern_permutation(gate.n)),
         "tau": serialize.monomial_to_payload(_phase_gate_of(gate)),
-    }
-    serialize.emit_json(payload, args.output)
-    return 0
+    }, 0
 
 
-def _cmd_entangle(args) -> int:
+def _cmd_entangle(args) -> tuple[dict, int]:
     tensor = _load_tensor(args.input)
-    state = apply_entangler(tensor, args.convention)
-    serialize.emit_json(serialize.state_to_payload(state), args.output)
-    return 0
+    return serialize.state_to_payload(apply_entangler(tensor, args.convention)), 0
 
 
-def _cmd_separability(args) -> int:
+def _cmd_separability(args) -> tuple[dict, int]:
     tensor = _load_tensor(args.input)
     # --tol was checked as it was parsed
     verdict = _verdict(tensor, args.tol)
@@ -102,45 +98,37 @@ def _cmd_separability(args) -> int:
             "classified by the hard threshold",
             file=sys.stderr,
         )
-    serialize.emit_json(serialize.verdict_to_payload(verdict, agrees), args.output)
     if not agrees:
         print("error: rank-1 oracle disagrees with the quadric verdict", file=sys.stderr)
-        return 1
-    return 0
+    return serialize.verdict_to_payload(verdict, agrees), 0 if agrees else 1
 
 
-def _cmd_generators(args) -> int:
+def _cmd_generators(args) -> tuple[dict, int]:
     dims = _as_dims(args.dims.split(","))
     gens = quadric_generators(dims)
-    payload = {
+    return {
         "dims": list(dims),
         "count": len(gens),
         "generators": [serialize.generator_to_payload(g) for g in gens],
-    }
-    serialize.emit_json(payload, args.output)
-    return 0
+    }, 0
 
 
-def _cmd_ybe(args) -> int:
+def _cmd_ybe(args) -> tuple[dict, int]:
     r, dim = _resolve_r_source(args, 3)
     # The algebraic residual of swap @ R is the braided residual of R
     # (check_algebraic_yang_baxter), so --form only labels the payload.
     report = _ybe(r, dim, args.tol)
-    serialize.emit_json(serialize.ybe_to_payload(report, dim, args.form), args.output)
-    return 0 if report.passed else 1
+    return serialize.ybe_to_payload(report, dim, args.form), 0 if report.passed else 1
 
 
-def _cmd_braid(args) -> int:
+def _cmd_braid(args) -> tuple[dict, int]:
     r, dim = _resolve_r_source(args, args.strands)
     report = _relations(r, dim, args.strands, args.tol)
-    serialize.emit_json(serialize.relations_to_payload(report), args.output)
-    return 0 if report.passed else 1
+    return serialize.relations_to_payload(report), 0 if report.passed else 1
 
 
-def _cmd_random(args) -> int:
-    tensor = random_phases(args.dims.split(","), args.seed)
-    serialize.emit_json(serialize.tensor_to_payload(tensor), args.output)
-    return 0
+def _cmd_random(args) -> tuple[dict, int]:
+    return serialize.tensor_to_payload(random_phases(args.dims.split(","), args.seed)), 0
 
 
 def _positive_float(text: str) -> float:
@@ -148,10 +136,6 @@ def _positive_float(text: str) -> float:
         return _as_tol(text)
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _add_output(p) -> None:
-    p.add_argument("--output", metavar="FILE", help="write JSON here instead of stdout")
 
 
 def _add_convention(p, help=None) -> None:
@@ -177,46 +161,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit R, P, and tau for a coefficient tensor")
     p.add_argument("--input", required=True, metavar="FILE", help="tensor JSON file")
     _add_convention(p)
-    _add_output(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("entangle", help="apply R to the uniform product state")
     p.add_argument("--input", required=True, metavar="FILE")
     _add_convention(p)
-    _add_output(p)
     p.set_defaults(func=_cmd_entangle)
 
     p = sub.add_parser("separability", help="quadric separability verdict with rank-1 cross-check")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_SEPARABILITY_TOL)
-    _add_output(p)
     p.set_defaults(func=_cmd_separability)
 
     p = sub.add_parser("generators", help="list the quadric generators for a shape")
     p.add_argument("--dims", required=True, help="comma-separated dims, e.g. 3,3")
-    _add_output(p)
     p.set_defaults(func=_cmd_generators)
 
     p = sub.add_parser("ybe", help="Yang-Baxter residual for an operator on two factors")
     _add_r_source(p)
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_YBE_TOL)
     p.add_argument("--form", choices=["braided", "algebraic"], default="braided")
-    _add_output(p)
     p.set_defaults(func=_cmd_ybe)
 
     p = sub.add_parser("braid", help="Artin relation residuals for the strand representation")
     _add_r_source(p)
     p.add_argument("--strands", type=int, default=3)
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_YBE_TOL)
-    _add_output(p)
     p.set_defaults(func=_cmd_braid)
 
     p = sub.add_parser("random", help="seeded unimodular random tensor")
     p.add_argument("--dims", required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_output(p)
     p.set_defaults(func=_cmd_random)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", metavar="FILE", help="write JSON here instead of stdout")
     return parser
 
 
@@ -224,7 +203,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        serialize.emit_json(payload, args.output)
+        return code
     except (InputError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -223,7 +223,7 @@ def _generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
             continue
         place, rest = math.prod(dims[j + 1:]), n // d
         u, v = pairs(rest)
-        if j:
+        if j:  # slot 1 drops no repeats, and its rest indices are flat offsets (place == rest)
             keep = np.ones(u.size, dtype=bool)
             for p, dp in enumerate(dims[:j]):
                 # rest pairs (w + c * step, w + c2 * step) with c < c2: they
@@ -232,9 +232,8 @@ def _generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
                 c, c2 = (x[:, None] * step for x in pairs(dp))
                 first = c + _rest_offsets(rest // dp, step, dp)
                 keep[first * (2 * rest - first - 1) // 2 + (c2 - c) - 1] = False
-            u, v = u[keep], v[keep]
-        off = _rest_offsets(rest, place, d)
-        u, v = off[u], off[v]
+            off = _rest_offsets(rest, place, d)
+            u, v = off[u[keep]], off[v[keep]]
         a, b = (x[:, None] * place for x in pairs(d))
         stop = start + digit_pairs * rest_pairs
         k, l, kp, lp = (row[start:stop].reshape(digit_pairs, rest_pairs) for row in table)

@@ -8,7 +8,10 @@ payloads are 1-based.
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -19,12 +22,9 @@ from .segre import QuadricGenerator, SeparabilityVerdict
 from .tensorops import CoefficientTensor, StateVector, _as_array
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _complex_list(values) -> list[list[float]]:
-    return [_pair(complex(z)) for z in values]
+def _complex_list(values: np.ndarray) -> list:
+    """A C-ordered complex128 array as nested lists of ``[re, im]`` pairs."""
+    return values.view(np.float64).reshape(*values.shape, 2).tolist()
 
 
 def _parse_pair(obj, where: str) -> complex:
@@ -64,7 +64,7 @@ def state_to_payload(state: StateVector) -> dict:
 
 
 def matrix_to_payload(matrix) -> dict:
-    return {"rows": [_complex_list(row) for row in _as_array(matrix, "matrix", 2)]}
+    return {"rows": _complex_list(_as_array(matrix, "matrix", 2))}
 
 
 def matrix_from_payload(obj) -> np.ndarray:
@@ -84,9 +84,7 @@ def matrix_from_payload(obj) -> np.ndarray:
 def monomial_to_payload(gate: MonomialGateMatrix) -> dict:
     return {
         "n": gate.n,
-        "rows": [
-            {"row": r, "col": c, "value": _pair(v)} for r, c, v in gate.nonzeros()
-        ],
+        "rows": [{"row": r, "col": c, "value": [v.real, v.imag]} for r, c, v in gate.nonzeros()],
     }
 
 
@@ -143,9 +141,9 @@ def load_json(path: str):
 
 def emit_json(payload, path: str | None = None) -> None:
     """Write a payload to a file or stdout (pretty-printed, exact floats)."""
-    text = json.dumps(payload, indent=2)
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        # a batch at a time: json.dumps holds every chunk until it joins them
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            fh.write(batch)
+        fh.write("\n")

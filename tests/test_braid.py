@@ -107,6 +107,8 @@ def test_ybe_size_validation():
         check_yang_baxter(np.eye(5))
     with pytest.raises(InputError):
         check_yang_baxter(np.eye(9), 2)
+    with pytest.raises(InputError, match=r"^R must be square, got \(4, 2\)$"):
+        check_yang_baxter(np.ones((4, 2)))
     with pytest.raises(ResourceLimitError):
         check_yang_baxter(np.eye(32 * 32), 32)
 
@@ -640,6 +642,9 @@ def test_overflowing_braid_words_are_an_input_error():
 def test_strand_count_is_bounded_for_dimension_one():
     one = np.ones((1, 1))
     assert len(check_braid_relations(one, 1, 13).checks) == 55 + 11
+    for strands in (1, 0, -3):
+        with pytest.raises(InputError, match="^need at least 2 strands$"):
+            check_braid_relations(one, 1, strands)
     for call in (
         lambda: check_braid_relations(one, 1, 14),
         lambda: check_braid_relations(one, 1, 3000),
@@ -698,3 +703,58 @@ def test_braid_word_is_written_back_into_one_buffer():
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     # the result alone is 16 MB; one product per letter held 32 MB
     assert peak < 24 * 2**20
+
+
+# --- non-monomial solutions: the dense kernel where its cancellations matter
+
+# Kauffman and Lomonaco's Bell-basis change, a unitary solution
+BELL = np.array([[1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0], [-1, 0, 0, 1]]) / math.sqrt(2)
+
+
+def interleaved(r1, d1, r2, d2):
+    """R1 (x) R2 on (C^d1 (x) C^d2)^(x2), rows read (a1 a2)(b1 b2): again a solution."""
+    d = d1 * d2
+    return np.kron(r1, r2).reshape((d1, d1, d2, d2) * 2).transpose(0, 2, 1, 3, 4, 6, 5, 7) \
+        .reshape(d * d, d * d)
+
+
+def conjugated(r, d, seed):
+    """(U (x) U) R (U (x) U)^dagger, U unitary from the QR of a seeded complex Gaussian."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    uu = np.kron(u, u)
+    return uu @ r @ uu.conj().T
+
+
+NON_MONOMIAL_SOLUTIONS = {
+    "bell": lambda: (BELL, 2),
+    "bell x phase swap": lambda: (interleaved(BELL, 2, r_from_phase_matrix(phase_matrix(3, 1)), 3),
+                                  6),
+    "bell x bell": lambda: (interleaved(BELL, 2, BELL, 2), 4),
+    "conjugated phase swap 3": lambda: (conjugated(r_from_phase_matrix(phase_matrix(3, 2)), 3, 3),
+                                        3),
+    "conjugated phase swap 5": lambda: (conjugated(r_from_phase_matrix(phase_matrix(5, 2)), 5, 5),
+                                        5),
+    "conjugated phase swap 8": lambda: (conjugated(r_from_phase_matrix(phase_matrix(8, 2)), 8, 8),
+                                        8),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_MONOMIAL_SOLUTIONS))
+def test_non_monomial_solutions_pass_on_the_dense_kernel(monkeypatch, name):
+    r, dim = NON_MONOMIAL_SOLUTIONS[name]()
+    taken = []
+    for core in ("_monomial_ybe_residual", "_dense_ybe_residual"):
+        def counting(*args, _name=core, _core=getattr(braid_module, core)):
+            taken.append(_name)
+            return _core(*args)
+
+        monkeypatch.setattr(braid_module, core, counting)
+    assert check_yang_baxter(r, dim).passed
+    assert check_braid_relations(r, dim, 3).passed
+    assert check_algebraic_yang_baxter(to_algebraic(r, dim), dim).passed
+    assert set(taken) == {"_dense_ybe_residual"}
+    assert is_unitary(r)[0]
+    nudged = r.copy()
+    nudged[0, 1] += 1e-6
+    assert not check_yang_baxter(nudged, dim).passed

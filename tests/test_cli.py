@@ -26,6 +26,7 @@ from braidgate import (
 from braidgate.cli import main
 from braidgate.segre import _generator_table
 from braidgate.serialize import (
+    emit_json,
     matrix_from_payload,
     matrix_to_payload,
     monomial_to_payload,
@@ -182,6 +183,30 @@ def test_separability_bell(tmp_path, capsys):
     assert payload["witness"] == {"j": 1, "k": [1, 1], "l": [2, 2]}
     assert payload["oracle_agrees"] is True
     assert payload["marginal"] is False
+
+
+def test_separability_notes_a_marginal_residual(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    a, b, noise = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in (3, 3, (3, 3)))
+    t = CoefficientTensor.from_array(np.multiply.outer(a, b) + 1e-8 * noise)
+    path = write_json(tmp_path, "near.json", tensor_to_payload(t))
+    code, out, err = run_cli(capsys, "separability", "--input", path)
+    payload = json.loads(out)
+    assert code == 0 and payload["marginal"] is True and payload["oracle_agrees"] is True
+    assert err == (f"note: residual {payload['max_violation']:.3e} is in the marginal band; "
+                   "classified by the hard threshold\n")
+
+
+def test_oracle_disagreement_exits_one(tmp_path, capsys, monkeypatch):
+    rank1 = cli_module._rank1
+    monkeypatch.setattr(cli_module, "_rank1", lambda tensor, tol: not rank1(tensor, tol))
+    path = write_json(tmp_path, "prod.json", PRODUCT_PAYLOAD)
+    code, out, err = run_cli(capsys, "separability", "--input", path)
+    assert code == 1 and json.loads(out)["oracle_agrees"] is False
+    assert err == "error: rank-1 oracle disagrees with the quadric verdict\n"
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, "separability", "--input", path, "--output", str(target)) == (1, "", err)
+    assert target.read_text() == out
 
 
 def test_separability_product_state(tmp_path, capsys):
@@ -361,15 +386,37 @@ def test_braid_command_refuses_oversized_representation(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_output_flag_writes_file(tmp_path, capsys):
+# (argv, exit code); a Gaussian R solves no Yang-Baxter equation
+OUTPUT_CASES = {
+    "construct": (["construct", "--input", "{tensor}", "--convention", "paper-matrix"], 0),
+    "entangle": (["entangle", "--input", "{tensor}"], 0),
+    "separability": (["separability", "--input", "{tensor}"], 0),
+    "generators": (["generators", "--dims", "2,3,2"], 0),
+    "ybe": (["ybe", "--phases", "--dims", "3,3", "--seed", "4"], 0),
+    "ybe gaussian": (["ybe", "--input", "{gaussian}", "--form", "algebraic"], 1),
+    "braid": (["braid", "--phases", "--dims", "2,2", "--seed", "4", "--strands", "4"], 0),
+    "braid gaussian": (["braid", "--input", "{gaussian}"], 1),
+    "random": (["random", "--dims", "2,2", "--seed", "1"], 0),
+}
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_CASES))
+def test_output_flag_writes_file(tmp_path, capsys, name):
+    rng = np.random.default_rng(23)
+    entries = rng.normal(size=(9, 2))
+    entries[1] = [-0.0, 5e-324]  # the sign of zero and a subnormal
+    gaussian = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    files = {
+        "tensor": write_json(tmp_path, "t.json", {"dims": [3, 3], "entries": entries.tolist()}),
+        "gaussian": write_json(tmp_path, "r.json", matrix_to_payload(gaussian)),
+    }
+    argv, expected = OUTPUT_CASES[name]
+    argv = [a.format(**files) for a in argv]
     target = tmp_path / "out.json"
-    code, out, _ = run_cli(
-        capsys, "random", "--dims", "2,2", "--seed", "1", "--output", str(target)
-    )
-    assert code == 0
-    assert out == ""
-    payload = json.loads(target.read_text())
-    assert payload["dims"] == [2, 2]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == expected and stdout
+    assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", err)
+    assert target.read_bytes() == stdout.encode()
 
 
 def test_bad_inputs_exit_two(tmp_path, capsys):
@@ -390,6 +437,26 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "ybe", "--phases", "--dims", "2,3", "--seed", "1")
     assert code == 2 and "error" in err
+
+    for argv, flag in ((("ybe", "--phases", "--seed", "1"), "--dims"),
+                       (("braid",), "--input (or --phases)")):
+        assert run_cli(capsys, *argv) == (2, "", f"error: missing required flag {flag}\n")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("separability", '{"dims": [2], "entries": [[1, 0], [1]]}',
+     "entries[1]: expected a [re, im] number pair, got [1]"),
+    ("construct", '{"dims": [2, 2.0], "entries": [[1, 0]]}', "'dims' must be a list of integers"),
+    ("entangle", '{"dims": [2, 2], "entries": "ab"}', "'entries' must be a list of [re, im] pairs"),
+    ("ybe", '{"cols": [[[1, 0]]]}', "matrix file must be an object with 'rows'"),
+    ("braid", '{"rows": []}', "'rows' must be a non-empty list of rows"),
+    ("ybe", '{"rows": [[[1, 0], [0, 0]], [[1, 0]]]}',
+     "rows[1] must be a list of [re, im] pairs as long as rows[0]"),
+])
+def test_malformed_files_exit_two(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_cli(capsys, command, "--input", str(path)) == (2, "", f"error: {message}\n")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -608,3 +675,18 @@ def test_verdict_json_round_trip_is_bit_identical(dims, seed, noise, exponent):
     else:
         w = verdict.witness
         assert payload["witness"] == {"j": w.slot, "k": list(w.k), "l": list(w.l)}
+
+
+def test_emit_json_holds_a_batch_not_the_text(tmp_path):
+    # json.dumps would hold every encoder chunk at once: 4.8x the text here
+    payload = tensor_to_payload(random_phases((128, 128), 1))
+    target = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        emit_json(payload, str(target))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = target.read_text()
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert peak <= 0.5 * len(text)

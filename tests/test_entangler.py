@@ -92,6 +92,10 @@ def test_monomial_structure_for_random_inputs():
 def test_monomial_type_operations():
     with pytest.raises(InputError):
         MonomialGateMatrix(3, [0, 0, 2], [1, 1, 1])
+    message = "^column and value arrays must both have length n >= 1$"
+    for n, cols, values in ((3, [0, 1], [1, 1, 1]), (2, [0, 1], [1, 1, 1]), (0, [], [])):
+        with pytest.raises(InputError, match=message):
+            MonomialGateMatrix(n, cols, values)
 
 
 def test_pattern_permutation_matches_swap_pattern():

@@ -89,8 +89,13 @@ def test_table_equals_reference_on_random_shapes(dims):
     assert_same_table(dims)
 
 
-@pytest.mark.parametrize("dims", [(3,) * 6, (2,) * 9, (9, 9, 9)])
-def test_cold_build_peaks_near_the_table_bytes(dims):
+@pytest.mark.parametrize("dims, bound", [
+    ((3,) * 6, 1.5), ((2,) * 9, 1.5), ((9, 9, 9), 1.5),
+    # slot 1's pair list is as long as the table here; building it takes 3/4
+    # of the table's bytes at its peak
+    ((2, 1400), 1.76),
+])
+def test_cold_build_peaks_near_the_table_bytes(dims, bound):
     # one buffer, written in place: the builder's temporaries are per slot
     build = _generator_table.__wrapped__
     tracemalloc.start()
@@ -99,7 +104,7 @@ def test_cold_build_peaks_near_the_table_bytes(dims):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 4 * table[0].nbytes
+    assert peak <= bound * 4 * table[0].nbytes
     assert table[0].base is table[3].base and not table[0].base.flags.writeable
 
 

@@ -102,6 +102,8 @@ def test_index_helpers_check_dims_once_with_unchanged_messages(monkeypatch):
         (lambda: lex_index((1, 4), (3, 3)), "digit 4 at slot 2 outside 1..3"),
         (lambda: lex_index((1, 1), ()), "dims must be non-empty and positive, got ()"),
         (lambda: QuadricGenerator(1, (1, 1), (2, 3), (2, 2)), "digit 3 at slot 2 outside 1..2"),
+        (lambda: QuadricGenerator(3, (1, 1), (2, 2), (2, 2)), "slot 3 outside 1..2"),
+        (lambda: QuadricGenerator(0, (1, 1), (2, 2), (2, 2)), "slot 0 outside 1..2"),
         (lambda: QuadricGenerator(1, (1,), (2, 2), (2, 2)),
          "multi-index (1,) has 1 digits, expected 2"),
         (lambda: QuadricGenerator(1, (1, 1), (2, 2), ("a", 2)),
