@@ -23,7 +23,7 @@ from .entangler import (
     pattern_permutation,
 )
 from .errors import InputError, ResourceLimitError
-from .segre import DEFAULT_SEPARABILITY_TOL, _rank1, _verdict, quadric_generators
+from .segre import DEFAULT_SEPARABILITY_TOL, _oracle_agrees, _verdict, quadric_generators
 from .tensorops import CoefficientTensor, _as_dims, _as_tol, random_phases
 
 
@@ -91,7 +91,7 @@ def _cmd_separability(args) -> tuple[dict, int]:
     tensor = _load_tensor(args.input)
     # --tol was checked as it was parsed
     verdict = _verdict(tensor, args.tol)
-    agrees = _rank1(tensor, args.tol) == verdict.separable
+    agrees = _oracle_agrees(tensor, verdict)
     if verdict.marginal:
         print(
             f"note: residual {verdict.max_violation:.3e} is in the marginal band; "

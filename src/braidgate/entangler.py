@@ -191,7 +191,10 @@ def certify_entangler(
     Under ``theorem`` the values are the coefficients bit for bit, so one
     scan serves both (``entangling is coefficient_verdict``); under
     ``paper-matrix`` the values get their own scan, and the verdicts can
-    diverge. Both tolerances must be finite and positive.
+    diverge. The coefficient scan is remembered on the tensor (see
+    :class:`CoefficientTensor`), so certifying one tensor under both
+    conventions, or at several tolerances, scans its coefficients once.
+    Both tolerances must be finite and positive.
     """
     convention = as_convention(convention)
     unitary_tol, separability_tol = _as_tol(unitary_tol), _as_tol(separability_tol)

@@ -9,8 +9,9 @@ exactly when every degree-2 generator
 vanishes. The generators are the 2x2 minors of the mode flattenings. This
 module fills flat index arrays for them by index arithmetic, dropping minors
 that several modes share, and keeps the tables of recently used shapes up to
-a byte bound. It scans them with numpy, and cross-checks verdicts with an
-independent rank-1 oracle based on singular values of the flattenings.
+a byte bound. It scans them with numpy, remembers the scan of each read-only
+tensor on the tensor, and cross-checks verdicts with an independent rank-1
+oracle based on singular values of the flattenings.
 """
 
 from __future__ import annotations
@@ -356,6 +357,12 @@ def is_fully_separable(
     first strict maximum, so the witness is the first generator attaining
     ``max_violation``. A shape with at most one slot of size above 1 has no
     generators; its tensors are separable with ``max_violation`` 0.0.
+
+    The scan does not depend on ``tol``. Its two results, the maximum and
+    the index of the generator attaining it first, are remembered on the
+    tensor while its entries are read-only (see :class:`CoefficientTensor`),
+    so a later verdict on the same tensor, at any tolerance, is read from
+    them without normalizing or scanning again.
     """
     _check_type(tensor, CoefficientTensor, "tensor")
     return _verdict(tensor, _as_tol(tol))
@@ -363,6 +370,21 @@ def is_fully_separable(
 
 def _verdict(tensor: CoefficientTensor, tol: float) -> SeparabilityVerdict:
     """:func:`is_fully_separable` with a checked tolerance."""
+    worst, best = _scan(tensor)
+    if worst <= tol:
+        return SeparabilityVerdict(True, worst, None, tol)
+    return SeparabilityVerdict(False, worst, _generator_at(tensor.dims, best), tol)
+
+
+def _scan(tensor: CoefficientTensor) -> tuple[float, int]:
+    """The largest generator magnitude of the normalized tensor and the index
+    of its first occurrence, remembered on the tensor while its entries are
+    read-only; writeable entries drop what was remembered.
+    """
+    memo, read_only = vars(tensor), not tensor.entries.flags.writeable
+    if read_only and "_scan" in memo:
+        return memo["_scan"]
+    memo.pop("_scan", None)
     e = _nonzero_normalized(tensor)
     ka, la, kp, lp = _generator_table(tensor.dims)
     best, worst = 0, 0.0
@@ -372,9 +394,9 @@ def _verdict(tensor: CoefficientTensor, tol: float) -> SeparabilityVerdict:
         i = int(np.argmax(res))
         if res[i] > worst:
             best, worst = start + i, float(res[i])
-    if worst <= tol:
-        return SeparabilityVerdict(True, worst, None, tol)
-    return SeparabilityVerdict(False, worst, _generator_at(tensor.dims, best), tol)
+    if read_only:
+        memo["_scan"] = worst, best
+    return worst, best
 
 
 def rank1_oracle(tensor: CoefficientTensor, tol: float = DEFAULT_SEPARABILITY_TOL) -> bool:
@@ -387,23 +409,54 @@ def rank1_oracle(tensor: CoefficientTensor, tol: float = DEFAULT_SEPARABILITY_TO
     singular values finite.
     """
     _check_type(tensor, CoefficientTensor, "tensor")
-    return _rank1(tensor, _as_tol(tol))
-
-
-def _rank1(tensor: CoefficientTensor, tol: float) -> bool:
-    """:func:`rank1_oracle` with a checked tolerance."""
+    tol = _as_tol(tol)
     arr = _scaled(tensor.entries)
-    for slot, d in enumerate(tensor.dims):
-        # the mode flattening, rows the slot digit and columns the other
-        # digits in lex order, without np.moveaxis's per-call overhead
-        left = math.prod(tensor.dims[:slot])
-        mat = arr.reshape(left, d, -1).transpose(1, 0, 2).reshape(d, -1)
+    for slot in range(tensor.n_slots):
+        mat = _flattening(arr, tensor.dims, slot)
         if min(mat.shape) < 2:
             continue
         s = np.linalg.svd(mat, compute_uv=False)
         if s[1] > tol * s[0]:
             return False
     return True
+
+
+def _flattening(arr: np.ndarray, dims: tuple[int, ...], slot: int) -> np.ndarray:
+    """The mode flattening of flat ``arr`` at 0-based ``slot``: rows the slot
+    digit and columns the other digits in lex order, without np.moveaxis's
+    per-call overhead."""
+    d = dims[slot]
+    return arr.reshape(math.prod(dims[:slot]), d, -1).transpose(1, 0, 2).reshape(d, -1)
+
+
+def _oracle_agrees(tensor: CoefficientTensor, verdict: SeparabilityVerdict) -> bool:
+    """Whether the singular values of the flattenings bear out ``verdict``.
+
+    Take flattening ``j`` of the normalized tensor (see
+    :func:`is_fully_separable`), with top singular values ``s1 >= s2`` and
+    ``M_j = C(d_j, 2) * C(N / d_j, 2)`` 2x2 minors. A 2x2 submatrix has
+    smaller singular values, so every minor is at most ``s1 * s2``; and
+    ``s1 * s2`` is at most the Frobenius norm of the second compound, so at
+    most ``sqrt(M_j)`` times the largest minor. The scan covers every minor
+    (one it drops is a generator of an earlier slot), so a separable verdict
+    implies ``s1 * s2 <= sqrt(M_j) * tol`` for every ``j``, and an entangled
+    one implies ``s1 * s2 > tol`` for some ``j``. Both are tested with a
+    rounding slack of ``64 * eps * N``.
+    """
+    e = _nonzero_normalized(tensor)
+    tol, slack = verdict.tolerance_used, 64 * sys.float_info.epsilon * e.size
+    largest = 0.0
+    for slot, d in enumerate(tensor.dims):
+        mat = _flattening(e, tensor.dims, slot)
+        if min(mat.shape) < 2:
+            continue
+        s = np.linalg.svd(mat, compute_uv=False)
+        top = float(s[0] * s[1])
+        minors = math.comb(d, 2) * math.comb(e.size // d, 2)
+        if verdict.separable and top > math.sqrt(minors) * tol + slack:
+            return False
+        largest = max(largest, top)
+    return verdict.separable or largest > tol - slack
 
 
 def segre_map(factors) -> CoefficientTensor:

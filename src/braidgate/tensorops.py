@@ -136,6 +136,16 @@ class CoefficientTensor:
     ``entries[lex_index(k, dims) - 1]`` is the coefficient at multi-index
     ``k``. Entries must be finite; they are copied from the caller's array
     and kept read-only.
+
+    The first separability verdict on a tensor remembers two numbers on it,
+    the largest generator magnitude of its scan and the index of the first
+    generator attaining it, about 150 bytes; later verdicts and certificates
+    read them at any tolerance (see :func:`braidgate.segre.is_fully_separable`).
+    They are read and written only while ``entries`` is read-only, as it is
+    in every tensor the constructors and the library build. A verdict taken
+    while the entries are writeable scans them afresh and forgets the old
+    numbers; entries changed and made read-only again with no verdict in
+    between keep the numbers of the old entries.
     """
 
     dims: tuple[int, ...]

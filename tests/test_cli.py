@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: JSON schemas, exit codes, determinism."""
 
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -22,6 +24,7 @@ from braidgate import (
     pattern_permutation,
     phase_gate,
     random_phases,
+    rank1_oracle,
 )
 from braidgate.cli import main
 from braidgate.segre import _generator_table
@@ -197,9 +200,19 @@ def test_separability_notes_a_marginal_residual(tmp_path, capsys):
                    "classified by the hard threshold\n")
 
 
+def _flip_verdicts(monkeypatch):
+    """Make the CLI's quadric verdict claim the opposite class."""
+    verdict = cli_module._verdict
+
+    def flipped(tensor, tol):
+        v = verdict(tensor, tol)
+        return dataclasses.replace(v, separable=not v.separable)
+
+    monkeypatch.setattr(cli_module, "_verdict", flipped)
+
+
 def test_oracle_disagreement_exits_one(tmp_path, capsys, monkeypatch):
-    rank1 = cli_module._rank1
-    monkeypatch.setattr(cli_module, "_rank1", lambda tensor, tol: not rank1(tensor, tol))
+    _flip_verdicts(monkeypatch)
     path = write_json(tmp_path, "prod.json", PRODUCT_PAYLOAD)
     code, out, err = run_cli(capsys, "separability", "--input", path)
     assert code == 1 and json.loads(out)["oracle_agrees"] is False
@@ -207,6 +220,40 @@ def test_oracle_disagreement_exits_one(tmp_path, capsys, monkeypatch):
     target = tmp_path / "out.json"
     assert run_cli(capsys, "separability", "--input", path, "--output", str(target)) == (1, "", err)
     assert target.read_text() == out
+
+
+def test_flipped_verdict_on_a_ghz_tensor_exits_one(tmp_path, capsys, monkeypatch):
+    ghz = np.zeros((3, 3, 3), dtype=complex)
+    ghz[0, 0, 0], ghz[1, 1, 1], ghz[2, 2, 2] = 1.0, 0.5j, -0.75
+    path = write_json(tmp_path, "ghz.json", tensor_to_payload(CoefficientTensor.from_array(ghz)))
+    assert json.loads(run_cli(capsys, "separability", "--input", path)[1])["oracle_agrees"]
+    _flip_verdicts(monkeypatch)
+    code, out, err = run_cli(capsys, "separability", "--input", path)
+    assert code == 1 and json.loads(out)["separable"] is True
+    assert json.loads(out)["oracle_agrees"] is False
+    assert err == "error: rank-1 oracle disagrees with the quadric verdict\n"
+
+
+def test_noisy_product_tensors_agree_with_the_oracle_near_the_tolerance(tmp_path, capsys):
+    # product tensors in (6,6,6) plus complex noise of size 3e-10: the largest
+    # minor lands just above the default tol 1e-9, where sigma2 / sigma1 of
+    # every flattening is still below it, so rank1_oracle at the same tol
+    # says separable; the singular-value bounds of the CLI's check hold
+    rng = np.random.default_rng(5)
+    rank1_differs = 0
+    for i in range(200):
+        product = functools.reduce(
+            np.multiply.outer, [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(3)])
+        noisy = product / np.abs(product).max() + 3e-10 * (
+            rng.normal(size=product.shape) + 1j * rng.normal(size=product.shape))
+        tensor = CoefficientTensor.from_array(noisy)
+        path = write_json(tmp_path, f"noisy{i}.json", tensor_to_payload(tensor))
+        code, out, err = run_cli(capsys, "separability", "--input", path)
+        payload = json.loads(out)
+        assert (code, payload["oracle_agrees"]) == (0, True), (i, payload)
+        assert "disagrees" not in err
+        rank1_differs += rank1_oracle(tensor) != payload["separable"]
+    assert rank1_differs >= 150
 
 
 def test_separability_product_state(tmp_path, capsys):
