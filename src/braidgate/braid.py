@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import _as_array, _as_int, _as_ints, _as_tol, _check_type
+from .tensorops import _as_array, _as_int, _as_ints, _as_tol, _check_type, _hold
 
 # Strand representations (R itself on 2 strands) are capped at this size.
 REP_DIM_CAP = 4096
@@ -59,8 +59,7 @@ class BraidWord:
         for x in letters:
             if x == 0 or not 1 <= abs(x) <= n - 1:
                 raise InputError(f"letter {x} outside +-1..{n - 1}")
-        object.__setattr__(self, "n_strands", n)
-        object.__setattr__(self, "letters", letters)
+        _hold(self, {"n_strands": n, "letters": letters})
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InputError
 from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
 from .tensorops import CoefficientTensor, StateVector, _as_int, _as_ints, _as_own_array, _as_tol
-from .tensorops import _check_type, _trusted
+from .tensorops import _check_type, _declared, _hold, _trusted
 
 
 class Convention(str, enum.Enum):
@@ -76,11 +76,9 @@ class MonomialGateMatrix:
             raise InputError("column and value arrays must both have length n >= 1")
         if not np.array_equal(np.sort(cols), np.arange(n)):
             raise InputError("col_of_row is not a permutation of 0..n-1")
-        cols.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "col_of_row", cols)
-        object.__setattr__(self, "value_of_row", vals)
+        _hold(self, {"n": n, "col_of_row": cols, "value_of_row": vals})
+
+    __getstate__, __setstate__ = _declared, _hold
 
     @property
     def is_diagonal(self) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .tensorops import CoefficientTensor, _as_array, _as_dims, _as_int, _as_tol, _check_type
-from .tensorops import _check_digits, _check_size, _trusted
+from .tensorops import _check_digits, _check_size, _hold, _trusted
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -77,10 +77,7 @@ class QuadricGenerator:
             raise InputError(f"non-canonical generator: digits {k[j]} !< {l[j]} at slot {slot}")
         if not k[:j] + k[j + 1:] < l[:j] + l[j + 1:]:
             raise InputError("non-canonical generator: remaining digits not lex-increasing")
-        object.__setattr__(self, "slot", slot)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "dims", dims)
+        _hold(self, {"slot": slot, "k": k, "l": l, "dims": dims})
 
     def swapped(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The index pair of the subtracted product (slot digits exchanged)."""
@@ -477,7 +474,7 @@ def segre_map(factors) -> CoefficientTensor:
         raise InputError("need at least one factor")
     for pos, v in enumerate(vecs, start=1):
         if not np.any(v):
-            raise InputError(f"factor {pos} is zero; not a projective point")
+            raise InputError(f"factor {pos} is {'zero' if v.size else 'empty'}; not a projective point")
     _check_size(tuple(v.size for v in vecs))
     with np.errstate(over="ignore", invalid="ignore"):
         out = functools.reduce(np.multiply.outer, vecs)

@@ -79,15 +79,32 @@ def _as_own_array(value, name: str, ndim: int | None = None) -> np.ndarray:
     return arr.copy() if arr is value or not arr.flags.owndata else arr
 
 
-def _trusted(kind: type, **fields):
-    """A frozen ``kind`` from fields already checked, without its constructor's
-    checks. Arrays among them are fresh or read-only, and are marked read-only."""
-    obj = object.__new__(kind)
+def _hold(obj, fields):
+    """Set the fields of a frozen dataclass ``obj`` from ``fields``, a dict of
+    every declared field by name, and return ``obj``. Arrays among them are
+    fresh or read-only, and are marked read-only.
+
+    Each ``__post_init__`` ends in it once its checks pass. The types that
+    hold arrays take it as ``__setstate__`` and :func:`_declared` as
+    ``__getstate__``, so pickle and copy restore their declared fields only,
+    with read-only arrays."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _declared(obj) -> dict:
+    """The declared fields of dataclass ``obj`` by name: the state that pickle
+    and copy keep, so a copy remembers nothing its original remembered."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
+
+
+def _trusted(kind: type, **fields):
+    """A frozen ``kind`` from fields already checked, without its constructor's
+    checks: :func:`_hold` on a bare instance."""
+    return _hold(object.__new__(kind), fields)
 
 
 def _check_type(value, kind: type, name: str) -> None:
@@ -145,7 +162,8 @@ class CoefficientTensor:
     in every tensor the constructors and the library build. A verdict taken
     while the entries are writeable scans them afresh and forgets the old
     numbers; entries changed and made read-only again with no verdict in
-    between keep the numbers of the old entries.
+    between keep the numbers of the old entries. Copies and unpickled
+    tensors hold read-only entries and remember nothing.
     """
 
     dims: tuple[int, ...]
@@ -159,9 +177,9 @@ class CoefficientTensor:
                 f"{entries.size} entries incompatible with dims {dims} "
                 f"(expected {math.prod(dims)})"
             )
-        entries.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", entries)
+        _hold(self, {"dims": dims, "entries": entries})
+
+    __getstate__, __setstate__ = _declared, _hold
 
     @classmethod
     def from_array(cls, arr) -> "CoefficientTensor":
@@ -209,8 +227,9 @@ class StateVector:
     def __post_init__(self):
         # the amplitudes pass the coefficient tensor's dims and values check
         tensor = CoefficientTensor(self.dims, self.amplitudes)
-        object.__setattr__(self, "dims", tensor.dims)
-        object.__setattr__(self, "amplitudes", tensor.entries)
+        _hold(self, {"dims": tensor.dims, "amplitudes": tensor.entries})
+
+    __getstate__, __setstate__ = _declared, _hold
 
     def to_tensor(self) -> CoefficientTensor:
         return _trusted(CoefficientTensor, dims=self.dims, entries=self.amplitudes)

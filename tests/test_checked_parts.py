@@ -1,13 +1,16 @@
 """Results built inside the library from checked parts, and the caller's arrays.
 
 The entangler calls and the separability witness skip the public
-constructors' checks (``tensorops._trusted``); their results must equal the
-public builds field for field. The public constructors copy the caller's
-arrays, so a caller's later writes reach no tensor, state or gate.
+constructors' checks (``tensorops._trusted``); their results, and their
+pickled and deep-copied round trips, must equal the public builds field for
+field. The public constructors copy the caller's arrays, so a caller's later
+writes reach no tensor, state or gate.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -49,6 +52,7 @@ def seeded_entries(dims, kind, seed):
 
 def assert_same_fields(built, public):
     assert type(built) is type(public)
+    assert set(vars(built)) == {f.name for f in dataclasses.fields(built)}
     for f in dataclasses.fields(built):
         x, y = getattr(built, f.name), getattr(public, f.name)
         if isinstance(x, np.ndarray):
@@ -61,23 +65,32 @@ def assert_same_fields(built, public):
             assert type(x) is type(y) and x == y, f.name
 
 
+# a pickled or deep-copied result was once restored with writeable arrays
+TRIPS = {
+    "built": lambda x: x,
+    "pickled": lambda x: pickle.loads(pickle.dumps(x)),
+    "deep-copied": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("trip", TRIPS.values(), ids=TRIPS.keys())
 @pytest.mark.parametrize("kind", ["zero", "unimodular", "gaussian"])
 @pytest.mark.parametrize("dims", GATE_SHAPES, ids=str)
-def test_entangler_results_equal_their_public_builds(dims, kind):
+def test_entangler_results_equal_their_public_builds(dims, kind, trip):
     t = CoefficientTensor(dims, seeded_entries(dims, kind, 14))
     n = t.size
-    perm = pattern_permutation(n)
+    perm = trip(pattern_permutation(n))
     assert_same_fields(perm, MonomialGateMatrix(n, perm.col_of_row, perm.value_of_row))
     assert perm.col_of_row.dtype == np.int64 and perm.value_of_row.dtype == np.complex128
     for conv in Convention:
-        gate = construct_entangler(t, conv)
+        gate = trip(construct_entangler(t, conv))
         assert_same_fields(gate, MonomialGateMatrix(n, gate.col_of_row, gate.value_of_row))
         assert gate.col_of_row.dtype == np.int64 and gate.value_of_row.dtype == np.complex128
-        tau = phase_gate(t, conv)
+        tau = trip(phase_gate(t, conv))
         assert_same_fields(tau, MonomialGateMatrix(n, np.arange(n), gate.value_of_row))
-        state = apply_entangler(t, conv)
+        state = trip(apply_entangler(t, conv))
         assert_same_fields(state, StateVector(dims, gate.value_of_row))
-        assert_same_fields(state.to_tensor(), CoefficientTensor(dims, gate.value_of_row))
+        assert_same_fields(trip(state.to_tensor()), CoefficientTensor(dims, gate.value_of_row))
 
 
 @pytest.mark.parametrize("kind", ["zero", "unimodular", "gaussian"])

@@ -1,7 +1,9 @@
 """The separability scan is remembered on a read-only tensor and read back by
 later verdicts and certificates, at any tolerance."""
 
+import copy
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -111,6 +113,25 @@ def test_writeable_entries_are_scanned_again(normalized_calls):
     assert _fields(is_fully_separable(t)) == _fields(ghz)
     assert _fields(is_fully_separable(t)) == _fields(ghz)
     assert normalized_calls.count(t) == 3
+
+
+@pytest.mark.parametrize("trip", [
+    lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy,
+], ids=["pickle", "deepcopy", "copy"])
+def test_a_copy_remembers_nothing(trip):
+    # a copy once carried its original's remembered scan and writeable entries,
+    # so after the write below it was still reported separable
+    t = CoefficientTensor((2, 2), [1, 1, 1, 1])
+    assert is_fully_separable(t).separable
+    c = trip(t)
+    assert set(vars(c)) == {"dims", "entries"} and c.dims == t.dims
+    assert not c.entries.flags.writeable and c.entries.tobytes() == t.entries.tobytes()
+    # copy.copy shares the entries, so this write reaches t too (t keeps its old scan)
+    c.entries.setflags(write=True)
+    c.entries[3] = -1
+    c.entries.setflags(write=False)
+    ghz = CoefficientTensor((2, 2), [1, 1, 1, -1])
+    assert _fields(is_fully_separable(c)) == _fields(is_fully_separable(ghz))
 
 
 def test_a_refused_shape_remembers_nothing():

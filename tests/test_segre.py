@@ -159,6 +159,11 @@ def test_segre_map_factors_must_be_vectors():
     for bad in ([[1, 2], [3, 4]], [[1, 2]], 5):
         with pytest.raises(InputError, match="factor 2 must be one-dimensional"):
             segre_map([[1, 2], bad])
+    # an empty factor was once called zero
+    with pytest.raises(InputError, match="factor 2 is empty; not a projective point"):
+        segre_map([[1, 2], []])
+    with pytest.raises(InputError, match="factor 1 is zero; not a projective point"):
+        segre_map([[0, 0], [1]])
 
 
 def test_segre_map_overflow_is_an_input_error():
