@@ -82,12 +82,14 @@ def _as_own_array(value, name: str, ndim: int | None = None) -> np.ndarray:
 def _hold(obj, fields):
     """Set the fields of a frozen dataclass ``obj`` from ``fields``, a dict of
     every declared field by name, and return ``obj``. Arrays among them are
-    fresh or read-only, and are marked read-only.
+    marked read-only.
 
     Each ``__post_init__`` ends in it once its checks pass. The types that
     hold arrays take it as ``__setstate__`` and :func:`_declared` as
     ``__getstate__``, so pickle and copy restore their declared fields only,
-    with read-only arrays."""
+    with read-only arrays. Under ``copy.copy`` those arrays are the
+    original's own, so a shallow copy also marks the original's arrays
+    read-only, even where a caller had made them writeable."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)

@@ -116,7 +116,7 @@ def test_writeable_entries_are_scanned_again(normalized_calls):
 
 
 @pytest.mark.parametrize("trip", [
-    lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy,
+    lambda t: pickle.loads(pickle.dumps(t, protocol=4)), copy.deepcopy, copy.copy,
 ], ids=["pickle", "deepcopy", "copy"])
 def test_a_copy_remembers_nothing(trip):
     # a copy once carried its original's remembered scan and writeable entries,
@@ -132,6 +132,20 @@ def test_a_copy_remembers_nothing(trip):
     c.entries.setflags(write=False)
     ghz = CoefficientTensor((2, 2), [1, 1, 1, -1])
     assert _fields(is_fully_separable(c)) == _fields(is_fully_separable(ghz))
+
+
+def test_a_protocol_5_pickle_remembers_nothing(normalized_calls):
+    # protocol 5 (the default from Python 3.14) restores the read-only entries
+    # as a view of immutable bytes, which cannot be made writeable at all
+    t = CoefficientTensor((2, 2), [1, 1, 1, 1])
+    verdict = is_fully_separable(t)
+    c = pickle.loads(pickle.dumps(t, protocol=5))
+    assert set(vars(c)) == {"dims", "entries"} and c.dims == t.dims
+    assert not c.entries.flags.writeable and c.entries.tobytes() == t.entries.tobytes()
+    with pytest.raises(ValueError):
+        c.entries.setflags(write=True)
+    assert _fields(is_fully_separable(c)) == _fields(verdict)
+    assert sum(x is c for x in normalized_calls) == 1
 
 
 def test_a_refused_shape_remembers_nothing():
