@@ -17,10 +17,10 @@ from . import serialize
 from .braid import DEFAULT_YBE_TOL, _check_strands, _operator, _phase_swap, _relations, _ybe
 from .entangler import (
     Convention,
-    _phase_gate_of,
     apply_entangler,
     construct_entangler,
     pattern_permutation,
+    phase_gate,
 )
 from .errors import InputError, ResourceLimitError
 from .segre import DEFAULT_SEPARABILITY_TOL, _oracle_agrees, _verdict, quadric_generators
@@ -78,7 +78,7 @@ def _cmd_construct(args) -> tuple[dict, int]:
         "n": gate.n,
         "R": serialize.monomial_to_payload(gate),
         "P": serialize.monomial_to_payload(pattern_permutation(gate.n)),
-        "tau": serialize.monomial_to_payload(_phase_gate_of(gate)),
+        "tau": serialize.monomial_to_payload(phase_gate(tensor, args.convention)),
     }, 0
 
 

@@ -18,10 +18,11 @@ coefficient tensor can have an entangled ``paper-matrix`` image (see
 :func:`certify_entangler`).
 
 R's row values are at once the output state, the phase gate's diagonal and
-the tensor whose separability decides entangling: each question builds R
-once and reads its answer from them. Results built here from parts already
-checked (R, the pattern, the phase gate, the state and the tensor of R's
-values) skip the public constructors' checks.
+the tensor whose separability decides entangling: each question reads its
+answer from them, and only :func:`construct_entangler` builds R itself.
+Results built here from parts already checked (R, the pattern, the phase
+gate, the state and the tensor of R's values) skip the public constructors'
+checks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import InputError
 from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
-from .tensorops import CoefficientTensor, StateVector, _as_int, _as_ints, _as_own_array, _as_tol
+from .tensorops import CoefficientTensor, StateVector, _as_array, _as_int, _as_ints, _as_tol
 from .tensorops import _check_type, _declared, _hold, _trusted
 
 
@@ -58,7 +59,8 @@ class MonomialGateMatrix:
 
     Stored sparsely: row r holds ``value_of_row[r]``, which may be zero, at the
     0-based column ``col_of_row[r]``; ``col_of_row`` must be a permutation.
-    Both arrays are copied from the caller's and kept read-only.
+    Both are held as immutable copies of the caller's arrays (see
+    :func:`braidgate.tensorops._hold`).
     """
 
     n: int
@@ -70,8 +72,8 @@ class MonomialGateMatrix:
         cols = self.col_of_row
         if not (isinstance(cols, np.ndarray) and cols.dtype.kind in "iu"):
             cols = np.array(_as_ints(cols, "col_of_row"))
-        cols = cols.astype(np.int64)
-        vals = _as_own_array(self.value_of_row, "value_of_row")
+        cols = cols.astype(np.int64, copy=False)
+        vals = _as_array(self.value_of_row, "value_of_row")
         if n < 1 or cols.shape != (n,) or vals.shape != (n,):
             raise InputError("column and value arrays must both have length n >= 1")
         if not np.array_equal(np.sort(cols), np.arange(n)):
@@ -104,6 +106,25 @@ def _entangler_pattern(n: int) -> np.ndarray:
     return cols
 
 
+def _row_values(tensor: CoefficientTensor, convention: Convention) -> np.ndarray:
+    """R's row values for a checked ``convention``, without building R:
+    :func:`construct_entangler`'s checks and fill rule. Under ``theorem``
+    they are the entries themselves; under ``paper-matrix`` the entries
+    reversed, with the first and last kept in place."""
+    _check_type(tensor, CoefficientTensor, "tensor")
+    if len(set(tensor.dims)) > 1:
+        raise InputError(f"entangler construction needs uniform dims, got {tensor.dims}")
+    n = tensor.size
+    if n < 2:
+        raise InputError("entangler needs at least 2 basis states")
+    if convention is Convention.THEOREM:
+        return tensor.entries
+    values = tensor.entries[::-1].copy()
+    values[0] = tensor.entries[0]
+    values[n - 1] = tensor.entries[n - 1]
+    return values
+
+
 def construct_entangler(
     tensor: CoefficientTensor, convention=Convention.THEOREM
 ) -> MonomialGateMatrix:
@@ -114,18 +135,8 @@ def construct_entangler(
     by ``convention`` (reverse lex order for ``paper-matrix``, forward for
     ``theorem``).
     """
-    convention = as_convention(convention)
-    _check_type(tensor, CoefficientTensor, "tensor")
-    if len(set(tensor.dims)) > 1:
-        raise InputError(f"entangler construction needs uniform dims, got {tensor.dims}")
-    n = tensor.size
-    if n < 2:
-        raise InputError("entangler needs at least 2 basis states")
-    values = np.array(
-        tensor.entries[::-1] if convention is Convention.PAPER_MATRIX else tensor.entries
-    )
-    values[0] = tensor.entries[0]
-    values[n - 1] = tensor.entries[n - 1]
+    values = _row_values(tensor, as_convention(convention))
+    n = values.size
     return _trusted(MonomialGateMatrix, n=n, col_of_row=_entangler_pattern(n), value_of_row=values)
 
 
@@ -138,16 +149,13 @@ def pattern_permutation(n: int) -> MonomialGateMatrix:
                     value_of_row=np.ones(n, dtype=np.complex128))
 
 
-def _phase_gate_of(gate: MonomialGateMatrix) -> MonomialGateMatrix:
-    """R @ P for an entangler R already built: P is R's own pattern and an
-    involution, so the diagonal is R's row values, bit for bit."""
-    return _trusted(MonomialGateMatrix, n=gate.n, col_of_row=np.arange(gate.n, dtype=np.int64),
-                    value_of_row=gate.value_of_row)
-
-
 def phase_gate(tensor: CoefficientTensor, convention=Convention.THEOREM) -> MonomialGateMatrix:
-    """Diagonal gate R @ P, read from R's values; the product is never formed."""
-    return _phase_gate_of(construct_entangler(tensor, convention))
+    """Diagonal gate R @ P: P is R's own pattern and an involution, so the
+    diagonal is R's row values, bit for bit. Neither R nor the product is
+    formed."""
+    values = _row_values(tensor, as_convention(convention))
+    return _trusted(MonomialGateMatrix, n=values.size,
+                    col_of_row=np.arange(values.size, dtype=np.int64), value_of_row=values)
 
 
 def apply_entangler(tensor: CoefficientTensor, convention=Convention.THEOREM) -> StateVector:
@@ -157,9 +165,10 @@ def apply_entangler(tensor: CoefficientTensor, convention=Convention.THEOREM) ->
     amplitudes are R's row values, bit for bit (signs of zero included):
     the coefficient list under ``theorem``; under ``paper-matrix`` the
     middle amplitudes appear at the digit-complemented positions instead.
+    R itself is not built.
     """
-    gate = construct_entangler(tensor, convention)
-    return _trusted(StateVector, dims=tensor.dims, amplitudes=gate.value_of_row)
+    values = _row_values(tensor, as_convention(convention))
+    return _trusted(StateVector, dims=tensor.dims, amplitudes=values)
 
 
 @dataclass(frozen=True)
@@ -179,11 +188,11 @@ def certify_entangler(
     unitary_tol: float = 1e-12,
     separability_tol: float = DEFAULT_SEPARABILITY_TOL,
 ) -> EntanglerReport:
-    """Certify unitarity and entangling power of the constructed gate.
+    """Certify unitarity and entangling power of the entangler.
 
-    The gate is built once. A monomial matrix is unitary exactly when every
-    value is unimodular, so the unitarity residual is ``max | |c|^2 - 1 |``
-    over the gate's values, computed without building the dense matrix. The
+    Only the gate's row values are read, and R is not built. A monomial
+    matrix is unitary exactly when every value is unimodular, so the
+    unitarity residual is ``max | |c|^2 - 1 |`` over the gate's values. The
     entangling verdict tests the output state, whose amplitudes are the
     gate's values; the coefficient verdict tests the input tensor directly.
     Under ``theorem`` the values are the coefficients bit for bit, so one
@@ -196,7 +205,7 @@ def certify_entangler(
     """
     convention = as_convention(convention)
     unitary_tol, separability_tol = _as_tol(unitary_tol), _as_tol(separability_tol)
-    values = construct_entangler(tensor, convention).value_of_row
+    values = _row_values(tensor, convention)
     with np.errstate(over="ignore"):  # a value too large to square is inf away from 1
         residual = float(np.max(np.abs(values.real**2 + values.imag**2 - 1.0)))
     coefficient_verdict = _verdict(tensor, separability_tol)

@@ -9,8 +9,8 @@ exactly when every degree-2 generator
 vanishes. The generators are the 2x2 minors of the mode flattenings. This
 module fills flat index arrays for them by index arithmetic, dropping minors
 that several modes share, and keeps the tables of recently used shapes up to
-a byte bound. It scans them with numpy, remembers the scan of each read-only
-tensor on the tensor, and cross-checks verdicts with an independent rank-1
+a byte bound. It scans them with numpy, remembers the scan of each tensor on
+the tensor, and cross-checks verdicts with an independent rank-1
 oracle based on singular values of the flattenings.
 """
 
@@ -357,9 +357,9 @@ def is_fully_separable(
 
     The scan does not depend on ``tol``. Its two results, the maximum and
     the index of the generator attaining it first, are remembered on the
-    tensor while its entries are read-only (see :class:`CoefficientTensor`),
-    so a later verdict on the same tensor, at any tolerance, is read from
-    them without normalizing or scanning again.
+    tensor, whose entries are immutable (see :class:`CoefficientTensor`), so
+    a later verdict on the same tensor, at any tolerance, is read from them
+    without normalizing or scanning again.
     """
     _check_type(tensor, CoefficientTensor, "tensor")
     return _verdict(tensor, _as_tol(tol))
@@ -375,25 +375,22 @@ def _verdict(tensor: CoefficientTensor, tol: float) -> SeparabilityVerdict:
 
 def _scan(tensor: CoefficientTensor) -> tuple[float, int]:
     """The largest generator magnitude of the normalized tensor and the index
-    of its first occurrence, remembered on the tensor while its entries are
-    read-only; writeable entries drop what was remembered.
+    of its first occurrence, remembered on the tensor: its entries are
+    immutable (see :class:`CoefficientTensor`).
     """
-    memo, read_only = vars(tensor), not tensor.entries.flags.writeable
-    if read_only and "_scan" in memo:
-        return memo["_scan"]
-    memo.pop("_scan", None)
-    e = _nonzero_normalized(tensor)
-    ka, la, kp, lp = _generator_table(tensor.dims)
-    best, worst = 0, 0.0
-    for start in range(0, ka.size, SCAN_CHUNK):
-        s = slice(start, start + SCAN_CHUNK)
-        res = np.abs(e[ka[s]] * e[la[s]] - e[kp[s]] * e[lp[s]])
-        i = int(np.argmax(res))
-        if res[i] > worst:
-            best, worst = start + i, float(res[i])
-    if read_only:
+    memo = vars(tensor)
+    if "_scan" not in memo:
+        e = _nonzero_normalized(tensor)
+        ka, la, kp, lp = _generator_table(tensor.dims)
+        best, worst = 0, 0.0
+        for start in range(0, ka.size, SCAN_CHUNK):
+            s = slice(start, start + SCAN_CHUNK)
+            res = np.abs(e[ka[s]] * e[la[s]] - e[kp[s]] * e[lp[s]])
+            i = int(np.argmax(res))
+            if res[i] > worst:
+                best, worst = start + i, float(res[i])
         memo["_scan"] = worst, best
-    return worst, best
+    return memo["_scan"]
 
 
 def rank1_oracle(tensor: CoefficientTensor, tol: float = DEFAULT_SEPARABILITY_TOL) -> bool:
@@ -403,27 +400,30 @@ def rank1_oracle(tensor: CoefficientTensor, tol: float = DEFAULT_SEPARABILITY_TO
     is at most ``tol`` times the first. Shares no code path with the quadric
     scan beyond :func:`_scaled`: the flattenings are taken from the tensor
     scaled by a power of two, so entries beyond the float range keep their
-    singular values finite.
+    singular values finite. It stops at the first flattening that fails.
     """
     _check_type(tensor, CoefficientTensor, "tensor")
     tol = _as_tol(tol)
-    arr = _scaled(tensor.entries)
-    for slot in range(tensor.n_slots):
-        mat = _flattening(arr, tensor.dims, slot)
-        if min(mat.shape) < 2:
+    flattenings = _top_singular_values(_scaled(tensor.entries), tensor.dims)
+    return not any(s2 > tol * s1 for _, s1, s2 in flattenings)
+
+
+def _top_singular_values(
+    arr: np.ndarray, dims: tuple[int, ...]
+) -> Iterator[tuple[int, float, float]]:
+    """Per mode flattening of flat ``arr`` with at least two rows and two
+    columns, in slot order: the slot's size ``d`` and the flattening's two
+    largest singular values. Flattening ``j`` has the slot digit as rows and
+    the other digits in lex order as columns; it is taken by reshapes,
+    without np.moveaxis's per-call overhead. Each flattening's singular
+    values are computed only when the caller asks for them, so a caller
+    that stops early skips the rest."""
+    for slot, d in enumerate(dims):
+        if min(d, arr.size // d) < 2:
             continue
+        mat = arr.reshape(math.prod(dims[:slot]), d, -1).transpose(1, 0, 2).reshape(d, -1)
         s = np.linalg.svd(mat, compute_uv=False)
-        if s[1] > tol * s[0]:
-            return False
-    return True
-
-
-def _flattening(arr: np.ndarray, dims: tuple[int, ...], slot: int) -> np.ndarray:
-    """The mode flattening of flat ``arr`` at 0-based ``slot``: rows the slot
-    digit and columns the other digits in lex order, without np.moveaxis's
-    per-call overhead."""
-    d = dims[slot]
-    return arr.reshape(math.prod(dims[:slot]), d, -1).transpose(1, 0, 2).reshape(d, -1)
+        yield d, s[0], s[1]
 
 
 def _oracle_agrees(tensor: CoefficientTensor, verdict: SeparabilityVerdict) -> bool:
@@ -443,12 +443,8 @@ def _oracle_agrees(tensor: CoefficientTensor, verdict: SeparabilityVerdict) -> b
     e = _nonzero_normalized(tensor)
     tol, slack = verdict.tolerance_used, 64 * sys.float_info.epsilon * e.size
     largest = 0.0
-    for slot, d in enumerate(tensor.dims):
-        mat = _flattening(e, tensor.dims, slot)
-        if min(mat.shape) < 2:
-            continue
-        s = np.linalg.svd(mat, compute_uv=False)
-        top = float(s[0] * s[1])
+    for d, s1, s2 in _top_singular_values(e, tensor.dims):
+        top = float(s1 * s2)
         minors = math.comb(d, 2) * math.comb(e.size // d, 2)
         if verdict.separable and top > math.sqrt(minors) * tol + slack:
             return False

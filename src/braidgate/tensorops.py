@@ -73,26 +73,22 @@ def _as_array(value, name: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _as_own_array(value, name: str, ndim: int | None = None) -> np.ndarray:
-    """:func:`_as_array`, copied when numpy handed back the caller's own memory."""
-    arr = _as_array(value, name, ndim)
-    return arr.copy() if arr is value or not arr.flags.owndata else arr
-
-
 def _hold(obj, fields):
     """Set the fields of a frozen dataclass ``obj`` from ``fields``, a dict of
-    every declared field by name, and return ``obj``. Arrays among them are
-    marked read-only.
+    every declared field by name, and return ``obj``. Each array among them
+    is held as a private immutable copy: an array of the value's shape and
+    dtype over a new ``bytes`` object of its data. numpy cannot make it
+    writeable (``setflags(write=True)`` raises ``ValueError``) and its
+    ``bytes`` owner cannot be written, so no write reaches a held array, and
+    no write to the caller's array reaches the result.
 
     Each ``__post_init__`` ends in it once its checks pass. The types that
     hold arrays take it as ``__setstate__`` and :func:`_declared` as
     ``__getstate__``, so pickle and copy restore their declared fields only,
-    with read-only arrays. Under ``copy.copy`` those arrays are the
-    original's own, so a shallow copy also marks the original's arrays
-    read-only, even where a caller had made them writeable."""
+    as immutable copies, and leave the original as it was."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+            value = np.ndarray(value.shape, value.dtype, value.tobytes())
         object.__setattr__(obj, name, value)
     return obj
 
@@ -105,7 +101,7 @@ def _declared(obj) -> dict:
 
 def _trusted(kind: type, **fields):
     """A frozen ``kind`` from fields already checked, without its constructor's
-    checks: :func:`_hold` on a bare instance."""
+    checks: :func:`_hold` on a bare instance, so its arrays are immutable copies."""
     return _hold(object.__new__(kind), fields)
 
 
@@ -148,44 +144,47 @@ def lex_index(digits, dims) -> int:
     return r + 1
 
 
+def _flat_entries(dims, entries) -> tuple[tuple[int, ...], np.ndarray]:
+    """A tensor's ``dims`` and ``entries`` checked, the entries flat: the
+    constructors' check of tensors and states, before :func:`_hold` copies."""
+    dims = _as_dims(dims)
+    entries = _as_array(entries, "tensor").reshape(-1)
+    if entries.size != math.prod(dims):
+        raise InputError(
+            f"{entries.size} entries incompatible with dims {dims} "
+            f"(expected {math.prod(dims)})"
+        )
+    return dims, entries
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientTensor:
     """An m-way complex coefficient array stored flat in lex order.
 
     ``entries[lex_index(k, dims) - 1]`` is the coefficient at multi-index
-    ``k``. Entries must be finite; they are copied from the caller's array
-    and kept read-only.
+    ``k``. Entries must be finite; they are held as an immutable copy of the
+    caller's array (see :func:`_hold`), which no caller can make writeable.
 
     The first separability verdict on a tensor remembers two numbers on it,
     the largest generator magnitude of its scan and the index of the first
     generator attaining it, about 150 bytes; later verdicts and certificates
     read them at any tolerance (see :func:`braidgate.segre.is_fully_separable`).
-    They are read and written only while ``entries`` is read-only, as it is
-    in every tensor the constructors and the library build. A verdict taken
-    while the entries are writeable scans them afresh and forgets the old
-    numbers; entries changed and made read-only again with no verdict in
-    between keep the numbers of the old entries. Copies and unpickled
-    tensors hold read-only entries and remember nothing.
+    The entries cannot change, so the numbers stay those of the entries.
+    Copies and unpickled tensors hold immutable entries and remember nothing.
     """
 
     dims: tuple[int, ...]
     entries: np.ndarray
 
     def __post_init__(self):
-        dims = _as_dims(self.dims)
-        entries = _as_own_array(self.entries, "tensor").reshape(-1)
-        if entries.size != math.prod(dims):
-            raise InputError(
-                f"{entries.size} entries incompatible with dims {dims} "
-                f"(expected {math.prod(dims)})"
-            )
+        dims, entries = _flat_entries(self.dims, self.entries)
         _hold(self, {"dims": dims, "entries": entries})
 
     __getstate__, __setstate__ = _declared, _hold
 
     @classmethod
     def from_array(cls, arr) -> "CoefficientTensor":
-        arr = _as_own_array(arr, "tensor")
+        arr = _as_array(arr, "tensor")
         return _trusted(cls, dims=_as_dims(arr.shape), entries=arr.reshape(-1))
 
     @property
@@ -228,8 +227,8 @@ class StateVector:
 
     def __post_init__(self):
         # the amplitudes pass the coefficient tensor's dims and values check
-        tensor = CoefficientTensor(self.dims, self.amplitudes)
-        _hold(self, {"dims": tensor.dims, "amplitudes": tensor.entries})
+        dims, amplitudes = _flat_entries(self.dims, self.amplitudes)
+        _hold(self, {"dims": dims, "amplitudes": amplitudes})
 
     __getstate__, __setstate__ = _declared, _hold
 

@@ -3,18 +3,20 @@
 The entangler calls and the separability witness skip the public
 constructors' checks (``tensorops._trusted``); their results, and their
 pickled and deep-copied round trips, must equal the public builds field for
-field. The public constructors copy the caller's arrays, so a caller's later
-writes reach no tensor, state or gate.
+field. Every array a result holds is an immutable copy, on every route that
+builds one, so a caller's later writes reach no tensor, state or gate.
 """
 
 import copy
 import dataclasses
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import braidgate.entangler as entangler_module
 from braidgate import (
     CoefficientTensor,
     Convention,
@@ -28,6 +30,8 @@ from braidgate import (
     pattern_permutation,
     phase_gate,
     quadric_generators,
+    random_phases,
+    segre_map,
 )
 from braidgate.segre import _generator_at, _generator_table
 
@@ -157,3 +161,69 @@ def test_tensor_and_state_constructors_copy_the_callers_entries(build):
     e[0] = 5
     assert e.flags.writeable and held.tolist() == [1, 1, 1, 1]
     assert not held.flags.writeable and held.flags.c_contiguous
+
+
+def _paper_matrix_values_tensor(t, monkeypatch):
+    """The tensor of R's values that ``certify_entangler`` scans under ``paper-matrix``."""
+    seen = []
+    verdict = entangler_module._verdict
+    with monkeypatch.context() as m:
+        m.setattr(entangler_module, "_verdict", lambda x, tol: seen.append(x) or verdict(x, tol))
+        certify_entangler(t, "paper-matrix")
+    assert len(seen) == 2 and seen[0] is t
+    return seen[1]
+
+
+T = CoefficientTensor((3, 3), np.arange(1.0, 10.0))
+HELD = {
+    "CoefficientTensor": lambda _: CoefficientTensor((2, 2), np.ones(4, dtype=np.complex128)),
+    "from_array": lambda _: CoefficientTensor.from_array(np.ones((2, 3), dtype=np.complex128)),
+    "StateVector": lambda _: StateVector((2, 2), np.ones(4, dtype=np.complex128)),
+    "MonomialGateMatrix": lambda _: MonomialGateMatrix(2, np.array([1, 0]), np.ones(2, complex)),
+    "random_phases": lambda _: random_phases((2, 3), 1),
+    "segre_map": lambda _: segre_map([[1, 2], [3, 4j, 5]]),
+    "to_tensor": lambda _: StateVector((2, 2), np.ones(4)).to_tensor(),
+    "construct_entangler theorem": lambda _: construct_entangler(T, "theorem"),
+    "construct_entangler paper-matrix": lambda _: construct_entangler(T, "paper-matrix"),
+    "pattern_permutation": lambda _: pattern_permutation(9),
+    "phase_gate theorem": lambda _: phase_gate(T, "theorem"),
+    "phase_gate paper-matrix": lambda _: phase_gate(T, "paper-matrix"),
+    "apply_entangler theorem": lambda _: apply_entangler(T, "theorem"),
+    "apply_entangler paper-matrix": lambda _: apply_entangler(T, "paper-matrix"),
+    "certify_entangler values": lambda mp: _paper_matrix_values_tensor(T, mp),
+}
+ROUTES = {
+    "built": lambda x: x,
+    "pickle-4": lambda x: pickle.loads(pickle.dumps(x, protocol=4)),
+    "pickle-5": lambda x: pickle.loads(pickle.dumps(x, protocol=5)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("build", HELD.values(), ids=HELD.keys())
+def test_held_arrays_are_immutable(build, monkeypatch):
+    # held arrays were once read-only by a flag that any caller could clear
+    for route, trip in ROUTES.items():
+        result = trip(build(monkeypatch))
+        arrays = [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 + isinstance(result, MonomialGateMatrix), route
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda a: CoefficientTensor((2, 2), a).entries,
+    lambda a: CoefficientTensor.from_array(a).entries,
+    lambda a: StateVector((2, 2), a).amplitudes,
+    lambda a: MonomialGateMatrix(4, [1, 0, 3, 2], a).value_of_row,
+], ids=["tensor", "from_array", "state", "gate"])
+def test_a_callers_array_stays_writeable_and_apart(build):
+    # an array numpy reads through __array__ without a copy was once held as
+    # it is, and made read-only in the caller's hands
+    own = np.ones(4, dtype=np.complex128)
+    held = build(SimpleNamespace(__array__=lambda dtype=None, copy=None: own))
+    assert own.flags.writeable
+    own[0] = 5
+    assert held.tolist() == [1, 1, 1, 1]

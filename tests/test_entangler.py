@@ -1,6 +1,7 @@
 """Monomial entangler construction, the pattern permutation, and certification."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import braidgate.cli as cli_module
 import braidgate.entangler as entangler_module
 from braidgate import (
     CoefficientTensor,
@@ -27,6 +29,7 @@ from braidgate import (
     random_phases,
     segre_map,
 )
+from braidgate.serialize import tensor_to_payload
 
 MARKERS_9 = CoefficientTensor((3, 3), np.arange(1, 10))
 
@@ -112,7 +115,7 @@ def test_pattern_permutation_matches_swap_pattern():
 
 @pytest.mark.parametrize("n", list(range(2, 82)))
 def test_pattern_permutation_is_involution(n):
-    # _phase_gate_of reads R @ P from R's values because P @ P = I
+    # phase_gate reads R @ P from R's values because P @ P = I
     p = pattern_permutation(n).dense()
     assert np.array_equal(p @ p, np.eye(n))
 
@@ -163,21 +166,34 @@ def test_state_and_phase_gate_are_the_gate_values_bit_for_bit(dims, conv):
         assert values.tobytes() == t.entries.tobytes()
 
 
-def test_each_question_builds_the_gate_once(monkeypatch):
+def test_only_construct_builds_the_gate(monkeypatch, tmp_path, capsys):
+    # each question once built R and read its values back from it
     calls = []
-    build = entangler_module.construct_entangler
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            calls.append(build.__name__)
+            return build(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(entangler_module, "construct_entangler", counting)
+    for name in ("construct_entangler", "_entangler_pattern"):
+        monkeypatch.setattr(entangler_module, name, counting(getattr(entangler_module, name)))
+    # the CLI imported construct_entangler by name
+    monkeypatch.setattr(cli_module, "construct_entangler", entangler_module.construct_entangler)
     t = random_phases((3, 3), 7)
     for conv in Convention:
         for question in (apply_entangler, phase_gate, certify_entangler):
             calls.clear()
             question(t, conv)
-            assert len(calls) == 1, question.__name__
+            assert calls == [], question.__name__
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tensor_to_payload(t)))
+    for conv in Convention:
+        calls.clear()
+        assert cli_module.main(["construct", "--input", str(path), "--convention", conv.value]) == 0
+        # R's pattern, then P's
+        assert calls == ["construct_entangler", "_entangler_pattern", "_entangler_pattern"]
+    capsys.readouterr()
 
 
 def test_apply_entangler_paper_matrix_reflects_middle():

@@ -1,5 +1,5 @@
-"""The separability scan is remembered on a read-only tensor and read back by
-later verdicts and certificates, at any tolerance."""
+"""The separability scan is remembered on a tensor, whose entries are
+immutable, and read back by later verdicts and certificates, at any tolerance."""
 
 import copy
 import functools
@@ -100,52 +100,42 @@ def test_a_second_verdict_equals_a_fresh_scan(dims, seed, noise, tol1, tol2):
     assert _fields(is_fully_separable(t, tol2)) == _fields(is_fully_separable(_fresh(t), tol2))
 
 
-def test_writeable_entries_are_scanned_again(normalized_calls):
+def test_entries_cannot_be_changed_under_a_remembered_scan(normalized_calls):
+    # entries once made writeable, changed and made read-only again kept the
+    # remembered scan of the old entries: this tensor was still separable
     t = CoefficientTensor((2, 2), [1, 1, 1, 1])
-    assert is_fully_separable(t).separable
-    t.entries.setflags(write=True)
-    t.entries[3] = -1
-    ghz = is_fully_separable(t)
-    assert _fields(ghz) == _fields(is_fully_separable(CoefficientTensor((2, 2), [1, 1, 1, -1])))
-    assert not ghz.separable and ghz.max_violation == 2.0
-    # read-only again, the changed entries are scanned once more and kept
-    t.entries.setflags(write=False)
-    assert _fields(is_fully_separable(t)) == _fields(ghz)
-    assert _fields(is_fully_separable(t)) == _fields(ghz)
-    assert normalized_calls.count(t) == 3
+    first = is_fully_separable(t)
+    assert first.separable
+    with pytest.raises(ValueError):
+        t.entries.setflags(write=True)
+    # nor can their owner be written: it is an immutable bytes object
+    assert type(t.entries.base) is bytes
+    assert t.entries.tolist() == [1, 1, 1, 1]
+    assert _fields(is_fully_separable(t)) == _fields(first)
+    assert _fields(is_fully_separable(t)) == _fields(is_fully_separable(_fresh(t)))
+    assert normalized_calls.count(t) == 1
 
 
 @pytest.mark.parametrize("trip", [
-    lambda t: pickle.loads(pickle.dumps(t, protocol=4)), copy.deepcopy, copy.copy,
-], ids=["pickle", "deepcopy", "copy"])
-def test_a_copy_remembers_nothing(trip):
-    # a copy once carried its original's remembered scan and writeable entries,
-    # so after the write below it was still reported separable
-    t = CoefficientTensor((2, 2), [1, 1, 1, 1])
-    assert is_fully_separable(t).separable
-    c = trip(t)
-    assert set(vars(c)) == {"dims", "entries"} and c.dims == t.dims
-    assert not c.entries.flags.writeable and c.entries.tobytes() == t.entries.tobytes()
-    # copy.copy shares the entries, so this write reaches t too (t keeps its old scan)
-    c.entries.setflags(write=True)
-    c.entries[3] = -1
-    c.entries.setflags(write=False)
-    ghz = CoefficientTensor((2, 2), [1, 1, 1, -1])
-    assert _fields(is_fully_separable(c)) == _fields(is_fully_separable(ghz))
-
-
-def test_a_protocol_5_pickle_remembers_nothing(normalized_calls):
-    # protocol 5 (the default from Python 3.14) restores the read-only entries
-    # as a view of immutable bytes, which cannot be made writeable at all
+    lambda t: pickle.loads(pickle.dumps(t, protocol=4)),
+    lambda t: pickle.loads(pickle.dumps(t, protocol=5)),
+    copy.deepcopy,
+    copy.copy,
+], ids=["pickle", "pickle-5", "deepcopy", "copy"])
+def test_a_copy_remembers_nothing(trip, normalized_calls):
+    # a copy once carried its original's remembered scan and writeable entries
     t = CoefficientTensor((2, 2), [1, 1, 1, 1])
     verdict = is_fully_separable(t)
-    c = pickle.loads(pickle.dumps(t, protocol=5))
+    c = trip(t)
     assert set(vars(c)) == {"dims", "entries"} and c.dims == t.dims
     assert not c.entries.flags.writeable and c.entries.tobytes() == t.entries.tobytes()
     with pytest.raises(ValueError):
         c.entries.setflags(write=True)
+    # the copy is scanned afresh, once; the original keeps its arrays and its scan
+    assert _fields(is_fully_separable(c)) == _fields(verdict)
     assert _fields(is_fully_separable(c)) == _fields(verdict)
     assert sum(x is c for x in normalized_calls) == 1
+    assert c.entries is not t.entries and "_scan" in vars(t)
 
 
 def test_a_refused_shape_remembers_nothing():
