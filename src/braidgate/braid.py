@@ -98,9 +98,12 @@ def _operator(r, dim: int | None) -> tuple[np.ndarray, int]:
 
 
 def _check_strands(dim: int, n_strands: int) -> int:
-    """dim**n_strands of int counts, refused below 2 strands or above ``REP_DIM_CAP``; over
-    ``REP_DIM_CAP.bit_length()`` strands (too many for any dim >= 2, and the
-    bound for dim 1) are refused before dim**n_strands is computed."""
+    """The size dim**n_strands of the representation on ``n_strands`` strands,
+    for counts already read as ints. Fewer than 2 strands is an
+    :class:`InputError`, and a size above ``REP_DIM_CAP`` is a
+    :class:`ResourceLimitError`. More than ``REP_DIM_CAP.bit_length()``
+    strands (too many for any dim >= 2, and the bound for dim 1) are refused
+    before dim**n_strands is computed."""
     if n_strands < 2:
         raise InputError("need at least 2 strands")
     if n_strands > REP_DIM_CAP.bit_length() or dim**n_strands > REP_DIM_CAP:
@@ -117,8 +120,8 @@ def r_from_phase_matrix(phases) -> np.ndarray:
     is refused before it is converted, so an oversized array is not copied.
     """
     m = phases if isinstance(phases, np.ndarray) else _as_array(phases, "phase matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"phase matrix must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise InputError(f"phase matrix must be square and nonempty, got shape {m.shape}")
     _check_strands(m.shape[0], 2)
     return _phase_swap(_as_array(m, "phase matrix"))
 

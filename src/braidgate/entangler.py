@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InputError
 from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
 from .tensorops import CoefficientTensor, StateVector, _as_array, _as_int, _as_ints, _as_tol
-from .tensorops import _check_type, _declared, _hold, _trusted
+from .tensorops import _check_type, _hold, _trusted
 
 
 class Convention(str, enum.Enum):
@@ -78,16 +78,18 @@ class MonomialGateMatrix:
             raise InputError("column and value arrays must both have length n >= 1")
         if not np.array_equal(np.sort(cols), np.arange(n)):
             raise InputError("col_of_row is not a permutation of 0..n-1")
-        _hold(self, {"n": n, "col_of_row": cols, "value_of_row": vals})
+        # views, so that _hold copies the caller's arrays
+        _hold(self, {"n": n, "col_of_row": cols.view(), "value_of_row": vals.view()})
 
-    __getstate__, __setstate__ = _declared, _hold
+    __setstate__ = _hold
 
     @property
     def is_diagonal(self) -> bool:
         return bool(np.array_equal(self.col_of_row, np.arange(self.n)))
 
     def nonzeros(self) -> list[tuple[int, int, complex]]:
-        """(row, col, value) triples, 1-based, in row order."""
+        """(row, col, value) triples, 1-based, in row order: one per row, zero
+        values included."""
         return [
             (r + 1, int(self.col_of_row[r]) + 1, complex(self.value_of_row[r]))
             for r in range(self.n)
@@ -173,7 +175,11 @@ def apply_entangler(tensor: CoefficientTensor, convention=Convention.THEOREM) ->
 
 @dataclass(frozen=True)
 class EntanglerReport:
-    """Independent facts about one entangler: gate quality and entangling power."""
+    """Independent facts about one entangler: whether it is unitary, and
+    ``entangling``, the verdict on R applied to the all-ones product state.
+    That is one input, not the entangling power of Zanardi, Zalka and Faoro
+    (Phys. Rev. A 62, 030301), an average over product inputs, which
+    braidgate does not compute."""
 
     convention: Convention
     unitary: bool
@@ -188,7 +194,8 @@ def certify_entangler(
     unitary_tol: float = 1e-12,
     separability_tol: float = DEFAULT_SEPARABILITY_TOL,
 ) -> EntanglerReport:
-    """Certify unitarity and entangling power of the entangler.
+    """Certify the entangler's unitarity and whether it entangles the
+    all-ones product state (see :class:`EntanglerReport`).
 
     Only the gate's row values are read, and R is not built. A monomial
     matrix is unitary exactly when every value is unimodular, so the
@@ -198,9 +205,10 @@ def certify_entangler(
     Under ``theorem`` the values are the coefficients bit for bit, so one
     scan serves both (``entangling is coefficient_verdict``); under
     ``paper-matrix`` the values get their own scan, and the verdicts can
-    diverge. The coefficient scan is remembered on the tensor (see
-    :class:`CoefficientTensor`), so certifying one tensor under both
-    conventions, or at several tolerances, scans its coefficients once.
+    diverge. The coefficient scan is remembered while the tensor lives
+    (see :func:`braidgate.segre.is_fully_separable`), so certifying one
+    tensor under both conventions, or at several tolerances, scans its
+    coefficients once.
     Both tolerances must be finite and positive.
     """
     convention = as_convention(convention)

@@ -6,4 +6,6 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed the configured dense-matrix size cap."""
+    """An operation would exceed one of the size caps, each a module constant
+    (``REP_DIM_CAP``, ``KRON_DIM_CAP``, ``TENSOR_SIZE_CAP``, ``GENERATOR_CAP``),
+    and is refused before its large allocation."""

@@ -9,8 +9,8 @@ exactly when every degree-2 generator
 vanishes. The generators are the 2x2 minors of the mode flattenings. This
 module fills flat index arrays for them by index arithmetic, dropping minors
 that several modes share, and keeps the tables of recently used shapes up to
-a byte bound. It scans them with numpy, remembers the scan of each tensor on
-the tensor, and cross-checks verdicts with an independent rank-1
+a byte bound. It scans them with numpy, remembers the scan of each tensor
+while the tensor lives, and cross-checks verdicts with an independent rank-1
 oracle based on singular values of the flattenings.
 """
 
@@ -20,6 +20,7 @@ import functools
 import math
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -151,11 +152,6 @@ def _rest_offsets(rest: int, place: int, d: int) -> np.ndarray:
     return idx // place * (place * d) + idx % place
 
 
-def _table_bytes(table: tuple[np.ndarray, ...]) -> int:
-    """Bytes held by a table: its buffer and the headers of its four views."""
-    return sys.getsizeof(table[0].base) + sum(map(sys.getsizeof, table))
-
-
 class _TableCache:
     """A table builder whose tables are kept by shape while they hold at most
     ``TABLE_CACHE_BYTES`` in all; the least recently used go first.
@@ -165,19 +161,19 @@ class _TableCache:
         functools.update_wrapper(self, build)
         self._build = build
         self._lock = threading.Lock()
-        self.tables: OrderedDict[tuple[int, ...], tuple[np.ndarray, ...]] = OrderedDict()
+        self.tables: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
         self.nbytes = 0
 
-    def __call__(self, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    def __call__(self, dims: tuple[int, ...]) -> np.ndarray:
         with self._lock:
             table = self.tables.get(dims)
             if table is not None:
                 self.tables.move_to_end(dims)
                 return table
             table = self.tables[dims] = self._build(dims)
-            self.nbytes += _table_bytes(table)
+            self.nbytes += sys.getsizeof(table)
             while self.nbytes > TABLE_CACHE_BYTES:
-                self.nbytes -= _table_bytes(self.tables.popitem(last=False)[1])
+                self.nbytes -= sys.getsizeof(self.tables.popitem(last=False)[1])
             return table
 
     def clear(self) -> None:
@@ -187,8 +183,9 @@ class _TableCache:
 
 
 @_TableCache
-def _generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Flat 0-based index arrays ``(k, l, kp, lp)`` of the canonical generators.
+def _generator_table(dims: tuple[int, ...]) -> np.ndarray:
+    """The rows ``k, l, kp, lp`` of one read-only ``(4, count)`` array: flat
+    0-based indices of the canonical generators.
 
     Generator ``i`` is ``e[k[i]] * e[l[i]] - e[kp[i]] * e[lp[i]]``.
     Enumeration order: slot ascending, then slot-digit pair, then the lex
@@ -200,9 +197,9 @@ def _generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
     With digit ``a`` at slot ``j``, whose place value is ``place_j``, rest
     multi-index ``u`` has flat index ``a * place_j + off[u]`` (see
-    :func:`_rest_offsets`). Each slot adds those into its four blocks of one
-    ``(4, count)`` buffer, which is made read-only before its rows are
-    returned as views. Refuses shapes beyond ``GENERATOR_CAP`` before
+    :func:`_rest_offsets`). Each slot adds those into its four blocks of the
+    buffer, which is made read-only once it is filled; callers unpack its
+    rows. Refuses shapes beyond ``GENERATOR_CAP`` before
     allocating anything sized by the shape; a shape with no generators
     allocates nothing sized by the shape either. Tables are cached by shape
     (see :class:`_TableCache`).
@@ -241,7 +238,7 @@ def _generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         np.add(a, v, out=lp)
         start = stop
     table.setflags(write=False)
-    return tuple(table)
+    return table
 
 
 def _generator_at(dims: tuple[int, ...], i: int) -> QuadricGenerator:
@@ -356,10 +353,10 @@ def is_fully_separable(
     generators; its tensors are separable with ``max_violation`` 0.0.
 
     The scan does not depend on ``tol``. Its two results, the maximum and
-    the index of the generator attaining it first, are remembered on the
-    tensor, whose entries are immutable (see :class:`CoefficientTensor`), so
-    a later verdict on the same tensor, at any tolerance, is read from them
-    without normalizing or scanning again.
+    the index of the generator attaining it first, are remembered while the
+    tensor lives: its entries are immutable (see :class:`CoefficientTensor`),
+    so a later verdict on the same tensor, at any tolerance, is read from
+    them without normalizing or scanning again.
     """
     _check_type(tensor, CoefficientTensor, "tensor")
     return _verdict(tensor, _as_tol(tol))
@@ -373,13 +370,17 @@ def _verdict(tensor: CoefficientTensor, tol: float) -> SeparabilityVerdict:
     return SeparabilityVerdict(False, worst, _generator_at(tensor.dims, best), tol)
 
 
+# (worst, best) of each scanned tensor that is alive, keyed by identity
+_scans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _scan(tensor: CoefficientTensor) -> tuple[float, int]:
     """The largest generator magnitude of the normalized tensor and the index
-    of its first occurrence, remembered on the tensor: its entries are
-    immutable (see :class:`CoefficientTensor`).
+    of its first occurrence, remembered in ``_scans`` while the tensor
+    lives: its entries are immutable (see :class:`CoefficientTensor`).
     """
-    memo = vars(tensor)
-    if "_scan" not in memo:
+    found = _scans.get(tensor)
+    if found is None:
         e = _nonzero_normalized(tensor)
         ka, la, kp, lp = _generator_table(tensor.dims)
         best, worst = 0, 0.0
@@ -389,8 +390,8 @@ def _scan(tensor: CoefficientTensor) -> tuple[float, int]:
             i = int(np.argmax(res))
             if res[i] > worst:
                 best, worst = start + i, float(res[i])
-        memo["_scan"] = worst, best
-    return memo["_scan"]
+        found = _scans[tensor] = worst, best
+    return found
 
 
 def rank1_oracle(tensor: CoefficientTensor, tol: float = DEFAULT_SEPARABILITY_TOL) -> bool:

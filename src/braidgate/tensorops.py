@@ -76,32 +76,34 @@ def _as_array(value, name: str, ndim: int | None = None) -> np.ndarray:
 def _hold(obj, fields):
     """Set the fields of a frozen dataclass ``obj`` from ``fields``, a dict of
     every declared field by name, and return ``obj``. Each array among them
-    is held as a private immutable copy: an array of the value's shape and
-    dtype over a new ``bytes`` object of its data. numpy cannot make it
-    writeable (``setflags(write=True)`` raises ``ValueError``) and its
-    ``bytes`` owner cannot be written, so no write reaches a held array, and
-    no write to the caller's array reaches the result.
+    is held immutable. One that already is, a C-contiguous read-only array
+    over a ``bytes`` object, is kept as it is; any other is copied to an
+    array of its shape and dtype over a new ``bytes`` object of its data.
+    numpy cannot make such an array writeable (``setflags(write=True)``
+    raises ``ValueError``) and its ``bytes`` owner cannot be written, so no
+    write reaches a held array. An array that numpy unpickled over ``bytes``
+    is writeable, so it is copied.
 
-    Each ``__post_init__`` ends in it once its checks pass. The types that
-    hold arrays take it as ``__setstate__`` and :func:`_declared` as
-    ``__getstate__``, so pickle and copy restore their declared fields only,
-    as immutable copies, and leave the original as it was."""
+    Each ``__post_init__`` ends in it once its checks pass, and hands it
+    views of the caller's arrays, which it copies: a caller's read-only array
+    over ``bytes`` can share its memory with a writeable one that numpy
+    unpickled, so no write to the caller's array reaches the result. The
+    types that hold arrays take it as ``__setstate__``, so pickle and copy
+    restore their fields immutable, and ``copy.copy`` shares the original's
+    arrays."""
     for name, value in fields.items():
-        if isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray) and not (
+            type(value.base) is bytes and value.flags.c_contiguous and not value.flags.writeable
+        ):
             value = np.ndarray(value.shape, value.dtype, value.tobytes())
         object.__setattr__(obj, name, value)
     return obj
 
 
-def _declared(obj) -> dict:
-    """The declared fields of dataclass ``obj`` by name: the state that pickle
-    and copy keep, so a copy remembers nothing its original remembered."""
-    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
-
-
 def _trusted(kind: type, **fields):
     """A frozen ``kind`` from fields already checked, without its constructor's
-    checks: :func:`_hold` on a bare instance, so its arrays are immutable copies."""
+    checks: :func:`_hold` on a bare instance, so an array already held is
+    shared and any other is an immutable copy."""
     return _hold(object.__new__(kind), fields)
 
 
@@ -145,8 +147,8 @@ def lex_index(digits, dims) -> int:
 
 
 def _flat_entries(dims, entries) -> tuple[tuple[int, ...], np.ndarray]:
-    """A tensor's ``dims`` and ``entries`` checked, the entries flat: the
-    constructors' check of tensors and states, before :func:`_hold` copies."""
+    """A tensor's ``dims`` and ``entries`` checked, the entries a flat view,
+    which :func:`_hold` copies: the constructors' check of tensors and states."""
     dims = _as_dims(dims)
     entries = _as_array(entries, "tensor").reshape(-1)
     if entries.size != math.prod(dims):
@@ -165,12 +167,11 @@ class CoefficientTensor:
     ``k``. Entries must be finite; they are held as an immutable copy of the
     caller's array (see :func:`_hold`), which no caller can make writeable.
 
-    The first separability verdict on a tensor remembers two numbers on it,
-    the largest generator magnitude of its scan and the index of the first
-    generator attaining it, about 150 bytes; later verdicts and certificates
-    read them at any tolerance (see :func:`braidgate.segre.is_fully_separable`).
-    The entries cannot change, so the numbers stay those of the entries.
-    Copies and unpickled tensors hold immutable entries and remember nothing.
+    The entries cannot change, so :mod:`braidgate.segre` remembers the scan
+    of a tensor's first separability verdict, apart from the tensor, while
+    the tensor lives; later verdicts and certificates read it at any
+    tolerance (see :func:`braidgate.segre.is_fully_separable`). A tensor
+    holds its declared fields only, and so do its copies.
     """
 
     dims: tuple[int, ...]
@@ -180,7 +181,7 @@ class CoefficientTensor:
         dims, entries = _flat_entries(self.dims, self.entries)
         _hold(self, {"dims": dims, "entries": entries})
 
-    __getstate__, __setstate__ = _declared, _hold
+    __setstate__ = _hold
 
     @classmethod
     def from_array(cls, arr) -> "CoefficientTensor":
@@ -230,7 +231,7 @@ class StateVector:
         dims, amplitudes = _flat_entries(self.dims, self.amplitudes)
         _hold(self, {"dims": dims, "amplitudes": amplitudes})
 
-    __getstate__, __setstate__ = _declared, _hold
+    __setstate__ = _hold
 
     def to_tensor(self) -> CoefficientTensor:
         return _trusted(CoefficientTensor, dims=self.dims, entries=self.amplitudes)
@@ -257,8 +258,8 @@ def is_unitary(a, tol: float = 1e-12) -> tuple[bool, float]:
     The residual is the max-abs entry of ``a^H a - I``; overflow there is an input error.
     """
     a = _as_array(a, "matrix", 2)
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"unitarity check needs a square matrix, got {a.shape}")
+    if a.shape[0] != a.shape[1] or not a.size:
+        raise InputError(f"unitarity check needs a nonempty square matrix, got {a.shape}")
     tol = _as_tol(tol)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))

@@ -198,6 +198,8 @@ ROUTES = {
     "pickle-5": lambda x: pickle.loads(pickle.dumps(x, protocol=5)),
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
+    "pickle-2": lambda x: pickle.loads(pickle.dumps(x, protocol=2)),
+    "pickle-3": lambda x: pickle.loads(pickle.dumps(x, protocol=3)),
 }
 
 
@@ -227,3 +229,40 @@ def test_a_callers_array_stays_writeable_and_apart(build):
     assert own.flags.writeable
     own[0] = 5
     assert held.tolist() == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+def test_unpickled_arrays_cannot_be_written(protocol):
+    # numpy unpickles an array of over 1000 bytes at protocols 2-4 over the
+    # pickle's bytes and marks it writeable, and setflags(write=True) raises
+    # on it all the same, so the flag and a write are checked
+    t = random_phases((8, 8), 2)
+    for result in (t, StateVector(t.dims, t.entries), construct_entangler(t)):
+        restored = pickle.loads(pickle.dumps(result, protocol=protocol))
+        for arr in (v for v in vars(restored).values() if isinstance(v, np.ndarray)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+
+@pytest.mark.parametrize("dtype, build", [
+    (np.complex128, lambda a: CoefficientTensor((256,), a).entries),
+    (np.complex128, lambda a: CoefficientTensor.from_array(a).entries),
+    (np.complex128, lambda a: StateVector((256,), a).amplitudes),
+    (np.complex128, lambda a: MonomialGateMatrix(256, np.arange(256), a).value_of_row),
+    (np.int64, lambda a: MonomialGateMatrix(256, a, np.ones(256)).col_of_row),
+], ids=["tensor", "from_array", "state", "gate values", "gate columns"])
+def test_a_callers_read_only_array_over_bytes_is_copied(dtype, build):
+    # a read-only array over bytes is held as it is when the library made
+    # it; a caller's may be written through a view numpy made writeable.
+    # numpy unpickles an array of over 1000 bytes over the pickle's bytes,
+    # writeable: here the caller keeps a view of it and makes it read-only
+    own = pickle.loads(pickle.dumps(np.arange(256, dtype=dtype), protocol=4))
+    view = own[:]
+    own.setflags(write=False)
+    assert type(own.base) is bytes and view.flags.writeable
+    held = build(own)
+    view[:2] = 1, 0
+    assert held[:2].tolist() == [0, 1]
+    with pytest.raises(ValueError):
+        held.setflags(write=True)

@@ -1,6 +1,7 @@
 """The separability generator table: its build, its build memory and its cache."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from braidgate.segre import (
     TABLE_CACHE_BYTES,
     _generator_count,
     _generator_table,
-    _table_bytes,
 )
 
 # --- reference builder ----------------------------------------------------
@@ -124,7 +124,7 @@ def test_cache_holds_at_most_its_byte_bound():
             # the most recent shapes, oldest first, the newest always among them
             assert held == NEAR_CAP_SHAPES[i + 1 - len(held):i + 1]
             assert _generator_table.nbytes == sum(
-                map(_table_bytes, _generator_table.tables.values()))
+                map(sys.getsizeof, _generator_table.tables.values()))
             assert _generator_table.nbytes <= TABLE_CACHE_BYTES
         assert _generator_table(NEAR_CAP_SHAPES[-1]) is newest
         # 21.2 + 24.9 + 21.6 MiB pass the bound, so two tables are left

@@ -290,3 +290,16 @@ def test_arrays_are_read_in_c_order():
     assert tensorops_module._as_array(f, "f").flags.c_contiguous
     c = np.arange(4, dtype=np.complex128)
     assert tensorops_module._as_array(c, "c") is c
+
+
+@pytest.mark.parametrize("call, message", [
+    (is_unitary, "^unitarity check needs a nonempty square matrix, got \\(0, 0\\)$"),
+    (r_from_phase_matrix, "^phase matrix must be square and nonempty, got shape \\(0, 0\\)$"),
+], ids=["is_unitary", "r_from_phase_matrix"])
+def test_an_empty_matrix_is_an_input_error(call, message):
+    # is_unitary raised numpy's bare ValueError from its max over no entries,
+    # and r_from_phase_matrix returned a 0x0 R that check_yang_baxter refuses
+    with pytest.raises(InputError, match=message):
+        call(np.zeros((0, 0)))
+    with pytest.raises(InputError, match="^matrix size 0 is not dim\\^2"):
+        check_yang_baxter(np.zeros((0, 0)))

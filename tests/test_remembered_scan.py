@@ -1,9 +1,13 @@
-"""The separability scan is remembered on a tensor, whose entries are
-immutable, and read back by later verdicts and certificates, at any tolerance."""
+"""The separability scan of a tensor, whose entries are immutable, is
+remembered while the tensor lives and read back by later verdicts and
+certificates, at any tolerance, from any thread."""
 
 import copy
 import functools
+import gc
 import pickle
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from braidgate import (
     StateVector,
     certify_entangler,
     is_fully_separable,
+    quadric_generators,
     random_phases,
     segre_map,
 )
@@ -121,7 +126,9 @@ def test_entries_cannot_be_changed_under_a_remembered_scan(normalized_calls):
     lambda t: pickle.loads(pickle.dumps(t, protocol=5)),
     copy.deepcopy,
     copy.copy,
-], ids=["pickle", "pickle-5", "deepcopy", "copy"])
+    lambda t: pickle.loads(pickle.dumps(t, protocol=2)),
+    lambda t: pickle.loads(pickle.dumps(t, protocol=3)),
+], ids=["pickle", "pickle-5", "deepcopy", "copy", "pickle-2", "pickle-3"])
 def test_a_copy_remembers_nothing(trip, normalized_calls):
     # a copy once carried its original's remembered scan and writeable entries
     t = CoefficientTensor((2, 2), [1, 1, 1, 1])
@@ -135,7 +142,11 @@ def test_a_copy_remembers_nothing(trip, normalized_calls):
     assert _fields(is_fully_separable(c)) == _fields(verdict)
     assert _fields(is_fully_separable(c)) == _fields(verdict)
     assert sum(x is c for x in normalized_calls) == 1
-    assert c.entries is not t.entries and "_scan" in vars(t)
+    # a shallow copy shares the original's immutable entries
+    assert (c.entries is t.entries) == (trip is copy.copy)
+    assert _fields(is_fully_separable(t)) == _fields(verdict)
+    assert sum(x is t for x in normalized_calls) == 1
+    assert set(vars(t)) == {"dims", "entries"}
 
 
 def test_a_refused_shape_remembers_nothing():
@@ -144,3 +155,74 @@ def test_a_refused_shape_remembers_nothing():
         with pytest.raises(ResourceLimitError):
             call(t)
         assert set(vars(t)) == {"dims", "entries"}
+
+
+def test_a_scan_lives_and_dies_with_its_tensor(normalized_calls):
+    t = CoefficientTensor((3, 3), np.arange(1.0, 10.0))
+    for conv in ("theorem", "paper-matrix"):
+        certify_entangler(t, conv)
+    is_fully_separable(t, 0.5)
+    # the scan is kept apart from the tensor, which holds its declared fields only
+    assert set(vars(t)) == {"dims", "entries"} and t in segre._scans
+    assert normalized_calls.count(t) == 1
+    gone = weakref.ref(t)
+    del normalized_calls[:]  # the fixture's list holds the tensor
+    gc.collect()
+    held = len(segre._scans)
+    del t
+    gc.collect()
+    assert gone() is None and len(segre._scans) == held - 1
+
+
+def test_a_refused_shape_leaves_no_scan():
+    t = CoefficientTensor((2,) * 11, np.ones(2**11))
+    for call in (is_fully_separable, certify_entangler):
+        with pytest.raises(ResourceLimitError):
+            call(t)
+    assert t not in segre._scans
+
+
+THREAD_SHAPES = [(2, 2), (3, 3), (4, 4), (5, 5), (2, 2, 2), (3, 3, 3), (2,) * 4, (2,) * 5]
+
+
+def _report(r):
+    return (r.convention, r.unitary, r.unitarity_residual.hex(), _fields(r.entangling),
+            _fields(r.coefficient_verdict))
+
+
+def _answers(tensors):
+    """Every verdict, both certificates and the generators of each tensor, in order."""
+    out = []
+    for t in tensors:
+        out += [_fields(is_fully_separable(t)), _report(certify_entangler(t, "theorem")),
+                _report(certify_entangler(t, "paper-matrix")), quadric_generators(t.dims)]
+    return out
+
+
+def test_threads_get_the_serial_answers():
+    # four threads share the generator table cache, its lock and the
+    # remembered scans, on shared tensors and on fresh ones of the same entries
+    shared = [make(dims) for dims in THREAD_SHAPES for make in (
+        lambda d: random_phases(d, sum(d)),
+        lambda d: segre_map([np.arange(1.0, n + 1) + 1j for n in d]))]
+    expected = _answers([_fresh(t) for t in shared])
+    segre._generator_table.clear()
+    start, results = threading.Barrier(4), {}
+
+    def work(i):
+        # each thread starts at its own tensor, 4 * i
+        order = shared[4 * i:] + shared[:4 * i]
+        start.wait()
+        results[i] = _answers(order), _answers([_fresh(t) for t in order])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(results) == [0, 1, 2, 3]
+    for i, answers in results.items():
+        # four answers per tensor
+        want = expected[16 * i:] + expected[:16 * i]
+        assert answers == (want, want)
+    assert all(set(vars(t)) == {"dims", "entries"} for t in shared)
