@@ -4,19 +4,21 @@ The braided Yang-Baxter equation on V (x) V (x) V reads
 
     (R (x) I)(I (x) R)(R (x) I) = (I (x) R)(R (x) I)(I (x) R)
 
-and is checked on one of two paths, chosen from R itself. A monomial R, with
-one nonzero per row and per column (a phase swap or entangler whose values are
-all nonzero), sends each basis column to one row with one value on either
-side, so the residual is read from R's permutation and values. Any other R
-is checked on blocks of identity columns. On such a block the first factor
-of each side is R's own entries, read rather than multiplied, and the
-second is one product that contracts the one strand the two share. Only the
-last factor is a full product: it acts on two adjacent strands, so it is
-one batched product with R on the middle axis of the reshaped operand, and
-the padded operator I (x) R (x) I is never built. The Artin relation and
-algebraic checks reduce to this one residual. Generators of the
-n-strand braid group act by R on adjacent factor pairs, and braid words are
-multiplied out letter by letter the same way. Each public call checks R,
+and is checked on one of two paths, chosen from R itself. A monomial R has
+at most one nonzero per row and per column, as
+:class:`braidgate.entangler.MonomialGateMatrix` defines it; every phase swap
+and every entangler is one, zero values included. It sends each basis row to
+one column with one value on either side, so the residual is read from R's
+row permutation and values. Any other R is checked on blocks of identity
+columns. On such a block the first factor of each side is R's own entries,
+read rather than multiplied, and the second is one product that contracts
+the one strand the two share. Only the last factor is a full product: it
+acts on two adjacent strands, so it is one batched product with R on the
+middle axis of the reshaped operand, and the padded operator I (x) R (x) I
+is never built. The Artin relation and algebraic checks reduce to this one
+residual. Generators of the n-strand braid group act by R on adjacent
+factor pairs, and braid words are multiplied out letter by letter by the
+same product with R's transpose on the right. Each public call checks R,
 the strand count and the tolerance once; the private cores behind it take
 checked inputs.
 """
@@ -135,19 +137,17 @@ def _phase_swap(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def _apply_on_strands(r: np.ndarray, m: np.ndarray, dim: int, i: int) -> np.ndarray:
-    """(I_a (x) R (x) I_b) @ m for R on factors i, i+1 (a = dim**(i-1)).
+def _apply_on_strands(r: np.ndarray, m: np.ndarray, lead: int) -> np.ndarray:
+    """(I_a (x) R (x) I_b) @ m for R on factors i, i+1, given ``lead``, the
+    size a = dim**(i-1) of the strands before R.
 
     m's row index splits into digits of sizes a, dim**2 and b (times m's
-    columns), so one batched product applies R along the middle axis.
+    columns), so one batched product applies R along the middle axis. The
+    right product m @ (I_a (x) R (x) I_b) is the same product of R.T with
+    ``lead = m.shape[0] * a``: m's entries, read in order, split into digits
+    of sizes m.shape[0] * a, dim**2 and b.
     """
-    return (r @ m.reshape(dim ** (i - 1), dim * dim, -1)).reshape(m.shape)
-
-
-def _apply_on_strands_right(m: np.ndarray, r: np.ndarray, dim: int, i: int) -> np.ndarray:
-    """m @ (I_a (x) R (x) I_b), the right-acting twin of :func:`_apply_on_strands`."""
-    rows = m.shape[0] * dim ** (i - 1)
-    return (r.T @ m.reshape(rows, dim * dim, -1)).reshape(m.shape)
+    return (r @ m.reshape(lead, r.shape[0], -1)).reshape(m.shape)
 
 
 def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -> YbeReport:
@@ -155,12 +155,14 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
 
     The residual is ``max |R12 R23 R12 - R23 R12 R23|`` over all dim**6
     entries. Counting R's nonzeros per row and per column costs O(dim**4).
-    If each count is 1, R is monomial: each side sends each of the dim**3
-    basis columns to one row with one value, and the residual is read from
-    R's permutation and values in O(dim**3). Any other R is taken over dim
-    blocks of dim**2 identity columns. On a block the first factor of each
-    side is read from R's entries and the second contracts one strand index;
-    only the last is a full strand-local product. That costs 2 dim**8 +
+    If each count is at most 1, R is monomial, as
+    :class:`braidgate.entangler.MonomialGateMatrix` defines it: each side
+    sends each of the dim**3 basis rows to one column with one value, and
+    the residual is read from R's row permutation and values in O(dim**3),
+    with a row of no nonzero taken as the value 0. Any other R is taken over
+    dim blocks of dim**2 identity columns. On a block the first factor of
+    each side is read from R's entries and the second contracts one strand
+    index; only the last is a full strand-local product. That costs 2 dim**8 +
     O(dim**7) multiply-adds and the working set O(dim**5); no dim**3 square
     operator is formed. dim**3 is capped at ``REP_DIM_CAP`` on both paths,
     and an R whose products overflow is an input error.
@@ -172,11 +174,16 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
 
 def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
     """:func:`check_yang_baxter` of a checked R, dim and tolerance: an R with
-    one nonzero per row and per column is read as a permutation and values."""
+    at most one nonzero per row and per column (a monomial R, as a
+    :class:`braidgate.entangler.MonomialGateMatrix`) is read as a permutation
+    and values. A row without a nonzero holds the value 0, so it may take any
+    column that has none; it takes the unused columns in order."""
     nonzero = r != 0
-    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
-        rows = nonzero.argmax(axis=0)
-        residual = _monomial_ybe_residual(rows, r[rows, np.arange(rows.size)], dim)
+    per_row, per_col = nonzero.sum(axis=1), nonzero.sum(axis=0)
+    if (per_row <= 1).all() and (per_col <= 1).all():
+        cols = nonzero.argmax(axis=1)
+        cols[per_row == 0] = np.flatnonzero(per_col == 0)
+        residual = _monomial_ybe_residual(cols, r[np.arange(cols.size), cols], dim)
     else:
         residual = _dense_ybe_residual(r, dim)
     # an overflow leaves inf or nan here
@@ -185,27 +192,31 @@ def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
     return YbeReport(residual, residual <= tol, tol)
 
 
-def _monomial_ybe_residual(rows: np.ndarray, values: np.ndarray, dim: int) -> float:
-    """The YBE residual of the R whose column c holds only ``values[c]``, on
-    row ``rows[c]``: each side sends basis column x to one row with one value,
-    so x's residual is ``|vL - vR|`` on one row, else ``max(|vL|, |vR|)``."""
+def _monomial_ybe_residual(cols: np.ndarray, values: np.ndarray, dim: int) -> float:
+    """The YBE residual of the R whose row r holds only ``values[r]``, at
+    column ``cols[r]``, a permutation: the layout of a
+    :class:`braidgate.entangler.MonomialGateMatrix`'s ``col_of_row`` and
+    ``value_of_row``, zero values included. Each side sends basis row x to
+    one column with one value, so x's residual is ``|vL - vR|`` on one
+    column, else ``max(|vL|, |vR|)``."""
 
     def times(a, b):
         # parts rounded one product at a time, as in the dense kernel's BLAS
         # products; numpy's complex product may fuse a*b - c*d
         return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
-    # row 0 of x follows R12 R23 R12 and row 1 R23 R12 R23, rightmost factor
+    # row 0 of x follows R12 R23 R12 and row 1 R23 R12 R23, leftmost factor
     # first; s is the place value of the lower of the two digits R acts on.
-    # The first factor's values are v itself, not products with 1.0
-    x, v, s = np.arange(dim**3), None, np.array([[dim], [1]])
+    # The values multiply rightmost first, and the last factor's values are
+    # taken as they are, not as products with 1.0
+    x, steps, s = np.arange(dim**3), [], np.array([[dim], [1]])
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):
             pair = x // s % (dim * dim)
-            step = values[pair]
-            x, v, s = x + (rows[pair] - pair) * s, step if v is None else times(step, v), s[::-1]
-        (row_l, row_r), (v_l, v_r) = x, v
-        worst = np.where(row_l == row_r, np.abs(v_l - v_r), np.maximum(np.abs(v_l), np.abs(v_r)))
+            steps.append(values[pair])
+            x, s = x + (cols[pair] - pair) * s, s[::-1]
+        (col_l, col_r), (v_l, v_r) = x, times(steps[0], times(steps[1], steps[2]))
+        worst = np.where(col_l == col_r, np.abs(v_l - v_r), np.maximum(np.abs(v_l), np.abs(v_r)))
     return float(np.max(worst))
 
 
@@ -226,11 +237,11 @@ def _dense_ybe_residual(r: np.ndarray, dim: int) -> float:
             # over b only: rows (a, j'), then one transpose to (a m n, j' k')
             lhs = r4[:, :, i, :].transpose(0, 2, 1).reshape(d * d, d) @ r23_by_b
             lhs = lhs.reshape(d, d, d * d, d).transpose(0, 2, 1, 3).reshape(d**3, d * d)
-            lhs = _apply_on_strands(r, lhs, d, 1)
+            lhs = _apply_on_strands(r, lhs, 1)
             # R23 e is R[(n, k), (j', k')] on rows with first digit i, so
             # R12 R23 e sums over n only, already laid out as (a b k, j' k')
             rhs = (r[:, i * d:(i + 1) * d] @ r.reshape(d, d**3)).reshape(d**3, d * d)
-            lhs -= _apply_on_strands(r, rhs, d, 2)
+            lhs -= _apply_on_strands(r, rhs, d)
             worst.append(np.max(np.abs(lhs)))
     # np.max keeps a nan that max() would drop
     return float(np.max(worst))
@@ -285,11 +296,11 @@ def evaluate_braid_word(word: BraidWord, r, dim: int) -> np.ndarray:
     out = np.eye(total, dtype=np.complex128)
     step = math.isqrt(total)
     for letter in word.letters:
-        factor = r if letter > 0 else r_inv
+        factor_t, lead = (r if letter > 0 else r_inv).T, dim ** (abs(letter) - 1)
         for start in range(0, total, step):
             rows = slice(start, start + step)
             with np.errstate(over="ignore", invalid="ignore"):
-                out[rows] = _apply_on_strands_right(out[rows], factor, dim, abs(letter))
+                out[rows] = _apply_on_strands(factor_t, out[rows], len(out[rows]) * lead)
             if not np.isfinite(out[rows]).all():
                 raise InputError("the braid word's products of R overflow")
     return out

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
-from .tensorops import CoefficientTensor, StateVector, _as_array, _as_int, _as_ints, _as_tol
-from .tensorops import _check_type, _hold, _trusted
+from .tensorops import TENSOR_SIZE_CAP, CoefficientTensor, StateVector, _as_array, _as_int
+from .tensorops import _as_ints, _as_tol, _check_type, _hold, _trusted
 
 
 class Convention(str, enum.Enum):
@@ -143,10 +143,15 @@ def construct_entangler(
 
 
 def pattern_permutation(n: int) -> MonomialGateMatrix:
-    """The swap-pattern permutation: rows 1 and n fixed, middle rows reversed."""
+    """The swap-pattern permutation: rows 1 and n fixed, middle rows reversed.
+
+    An n above ``TENSOR_SIZE_CAP``, the size of the largest tensor's gate, is
+    a :class:`ResourceLimitError`, refused before anything is allocated."""
     n = _as_int(n, "n")
     if n < 2:
         raise InputError("pattern permutation needs n >= 2")
+    if n > TENSOR_SIZE_CAP:
+        raise ResourceLimitError(f"pattern permutation of size {n} exceeds cap {TENSOR_SIZE_CAP}")
     return _trusted(MonomialGateMatrix, n=n, col_of_row=_entangler_pattern(n),
                     value_of_row=np.ones(n, dtype=np.complex128))
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .tensorops import CoefficientTensor, _as_array, _as_dims, _as_int, _as_tol, _check_type
-from .tensorops import _check_digits, _check_size, _hold, _trusted
+from .tensorops import _MAX_AXES, _check_digits, _check_size, _hold, _trusted
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -459,9 +459,10 @@ def segre_map(factors) -> CoefficientTensor:
     The result is on-variety by construction: every quadric generator
     evaluates to zero up to rounding. Each factor must be nonzero
     (projective points exclude the origin). Products over ``TENSOR_SIZE_CAP``
-    entries are refused before they are formed, and overflow is an input
-    error. A product below the normal range is formed instead from the
-    factors scaled by powers of two: the same projective point, in range.
+    entries are refused before they are formed, and so are more than 64
+    factors (numpy's limit on axes); overflow is an input error. A product
+    below the normal range is formed instead from the factors scaled by
+    powers of two: the same projective point, in range.
     """
     try:
         vecs = [_as_array(f, f"factor {pos}", 1) for pos, f in enumerate(factors, start=1)]
@@ -473,6 +474,8 @@ def segre_map(factors) -> CoefficientTensor:
         if not np.any(v):
             raise InputError(f"factor {pos} is {'zero' if v.size else 'empty'}; not a projective point")
     _check_size(tuple(v.size for v in vecs))
+    if len(vecs) > _MAX_AXES:
+        raise InputError(f"{len(vecs)} factors exceed numpy's {_MAX_AXES} axes")
     with np.errstate(over="ignore", invalid="ignore"):
         out = functools.reduce(np.multiply.outer, vecs)
     if np.max(np.abs(out.view(np.float64))) < np.finfo(np.float64).tiny:

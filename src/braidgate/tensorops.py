@@ -24,6 +24,9 @@ KRON_DIM_CAP = 10_000
 # Tensors drawn or multiplied out beyond this many entries (256 MiB of complex128) are refused.
 TENSOR_SIZE_CAP = 2**24
 
+# numpy's limit on an array's axes: a tensor of more slots has no array form.
+_MAX_AXES = 64
+
 
 def _as_int(value, name: str) -> int:
     """An integer argument as an int: a value that ``int()`` rejects or changes
@@ -137,13 +140,17 @@ def _check_digits(digits, dims: tuple[int, ...]) -> tuple[int, ...]:
     return digits
 
 
-def lex_index(digits, dims) -> int:
-    """1-based lex rank of a multi-index, first digit most significant."""
-    dims = _as_dims(dims)
+def _flat_index(digits, dims: tuple[int, ...]) -> int:
+    """0-based lex rank of a multi-index, for ``dims`` from :func:`_as_dims`."""
     r = 0
     for d, n in zip(_check_digits(digits, dims), dims):
         r = r * n + (d - 1)
-    return r + 1
+    return r
+
+
+def lex_index(digits, dims) -> int:
+    """1-based lex rank of a multi-index, first digit most significant."""
+    return _flat_index(digits, _as_dims(dims)) + 1
 
 
 def _flat_entries(dims, entries) -> tuple[tuple[int, ...], np.ndarray]:
@@ -197,11 +204,16 @@ class CoefficientTensor:
         return len(self.dims)
 
     def as_array(self) -> np.ndarray:
+        """The entries as an array of ``dims``; more than 64 slots (numpy's
+        limit on axes) is an :class:`InputError`."""
+        if self.n_slots > _MAX_AXES:
+            raise InputError(f"a tensor of {self.n_slots} slots has no array form "
+                             f"(at most {_MAX_AXES} axes)")
         return self.entries.reshape(self.dims)
 
     def at(self, digits) -> complex:
-        """Entry at a 1-based multi-index."""
-        return complex(self.as_array()[tuple(d - 1 for d in _check_digits(digits, self.dims))])
+        """Entry at a 1-based multi-index, read from the flat entries."""
+        return complex(self.entries[_flat_index(digits, self.dims)])
 
 
 def random_phases(dims, seed: int) -> CoefficientTensor:

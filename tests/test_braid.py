@@ -24,7 +24,7 @@ from braidgate import (
     to_algebraic,
 )
 import braidgate.braid as braid_module
-from braidgate.braid import _apply_on_strands, _apply_on_strands_right, _dense_ybe_residual
+from braidgate.braid import _apply_on_strands, _dense_ybe_residual
 
 
 def phase_matrix(n, seed):
@@ -388,8 +388,8 @@ def strand_cases(draw):
 def test_strand_kernel_matches_dense_kronecker_products(case):
     dim, n_strands, i, r, m = case
     dense = dense_generator_rep(r, dim, n_strands, i)
-    assert np.array_equal(_apply_on_strands(r, m, dim, i), dense @ m)
-    assert np.array_equal(_apply_on_strands_right(m.T, r, dim, i), m.T @ dense)
+    assert np.array_equal(_apply_on_strands(r, m, dim ** (i - 1)), dense @ m)
+    assert np.array_equal(_apply_on_strands(r.T, m.T, m.shape[1] * dim ** (i - 1)), m.T @ dense)
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,8 +436,8 @@ def monomial(values, perm):
 def monomial_gaussian_integer_operators(draw):
     dim = draw(st.integers(1, 6))
     perm = draw(st.permutations(range(dim * dim)))
-    values = gaussian_integers(draw, (dim * dim,))
-    return dim, monomial(np.where(values == 0, 1 - 2j, values), perm)
+    # a zero value leaves an all-zero row and column, still read as monomial
+    return dim, monomial(gaussian_integers(draw, (dim * dim,)), perm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,16 +469,16 @@ def test_monomial_ybe_residual_within_four_ulp_of_the_dense_kernel(dim, seed, ph
 @pytest.mark.parametrize("convention", ["theorem", "paper-matrix"])
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_monomial_core_reads_a_gate_with_zero_values(dim, convention):
-    # a zero coefficient leaves an all-zero row, so check_yang_baxter takes
-    # the dense kernel; the monomial core, given the gate's own arrays, reads
-    # the same residual bit for bit (Gaussian-integer products are exact)
+    # a zero coefficient leaves an all-zero row; the monomial core reads the
+    # gate's own arrays as they are, and the public path and the dense kernel
+    # give the same residual bit for bit (Gaussian-integer products are exact)
     rng = np.random.default_rng(dim)
     coeffs = np.array([1, 1j]) @ rng.integers(-3, 4, size=(2, dim * dim))
     coeffs[[1, dim * dim - 2]] = 0
     gate = construct_entangler(CoefficientTensor((dim, dim), coeffs), convention)
-    rows = np.argsort(gate.col_of_row)
-    residual = braid_module._monomial_ybe_residual(rows, gate.value_of_row[rows], dim)
+    residual = braid_module._monomial_ybe_residual(gate.col_of_row, gate.value_of_row, dim)
     assert check_yang_baxter(gate.dense(), dim).residual == residual
+    assert _dense_ybe_residual(gate.dense(), dim) == residual
 
 
 def test_only_monomial_r_is_read_as_a_permutation(monkeypatch):
@@ -495,6 +495,7 @@ def test_only_monomial_r_is_read_as_a_permutation(monkeypatch):
     all_in_row_zero[0] = 1.0  # one nonzero per column, but eight all-zero rows
     one_zeroed = swap(3)
     one_zeroed[4, 4] = 0.0  # an all-zero row and column
+    ghz = construct_entangler(CoefficientTensor((4, 4), np.eye(4).reshape(-1))).dense()
     cases = [
         (r_from_phase_matrix(phase_matrix(3, 1)), "_monomial_ybe_residual"),
         (np.diag(np.arange(1.0, 10.0)), "_monomial_ybe_residual"),
@@ -502,12 +503,13 @@ def test_only_monomial_r_is_read_as_a_permutation(monkeypatch):
         (two_in_row_zero.T, "_dense_ybe_residual"),
         (all_in_row_zero, "_dense_ybe_residual"),
         (all_in_row_zero.T, "_dense_ybe_residual"),
-        (one_zeroed, "_dense_ybe_residual"),
-        (np.zeros((9, 9)), "_dense_ybe_residual"),
+        (one_zeroed, "_monomial_ybe_residual"),
+        (np.zeros((9, 9)), "_monomial_ybe_residual"),
+        (ghz, "_monomial_ybe_residual"),
     ]
     for r, path in cases:
         taken.clear()
-        check_yang_baxter(r, 3)
+        check_yang_baxter(r)
         assert taken == [path]
 
 
@@ -699,7 +701,8 @@ def test_braid_word_is_written_back_into_one_buffer():
     out, peak = peak_of(lambda: evaluate_braid_word(word, r, 2))
     ref = np.eye(2**10, dtype=np.complex128)
     for letter in word.letters:
-        ref = _apply_on_strands_right(ref, r if letter > 0 else r_inv, 2, abs(letter))
+        factor = r if letter > 0 else r_inv
+        ref = _apply_on_strands(factor.T, ref, ref.shape[0] * 2 ** (abs(letter) - 1))
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     # the result alone is 16 MB; one product per letter held 32 MB
     assert peak < 24 * 2**20

@@ -191,6 +191,9 @@ HELD = {
     "apply_entangler theorem": lambda _: apply_entangler(T, "theorem"),
     "apply_entangler paper-matrix": lambda _: apply_entangler(T, "paper-matrix"),
     "certify_entangler values": lambda mp: _paper_matrix_values_tensor(T, mp),
+    # numpy unpickles an array of over 1000 bytes over the pickle's bytes
+    "random_phases (16, 16)": lambda _: random_phases((16, 16), 2),
+    "construct_entangler (16, 16)": lambda _: construct_entangler(random_phases((16, 16), 2)),
 }
 ROUTES = {
     "built": lambda x: x,
@@ -205,12 +208,17 @@ ROUTES = {
 
 @pytest.mark.parametrize("build", HELD.values(), ids=HELD.keys())
 def test_held_arrays_are_immutable(build, monkeypatch):
-    # held arrays were once read-only by a flag that any caller could clear
+    # held arrays were once read-only by a flag that any caller could clear;
+    # setflags(write=True) also raises on an array numpy unpickled over the
+    # pickle's bytes and left writeable, so the flag and a write are checked
     for route, trip in ROUTES.items():
         result = trip(build(monkeypatch))
         arrays = [v for v in vars(result).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 1 + isinstance(result, MonomialGateMatrix), route
         for arr in arrays:
+            assert not arr.flags.writeable, route
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
             with pytest.raises(ValueError):
                 arr.setflags(write=True)
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from braidgate import (
     InputError,
     MonomialGateMatrix,
     QuadricGenerator,
+    ResourceLimitError,
     apply_entangler,
     certify_entangler,
     construct_entangler,
@@ -111,6 +113,19 @@ def test_pattern_permutation_matches_swap_pattern():
     assert np.array_equal(pattern_permutation(2).dense(), np.eye(2))
     with pytest.raises(InputError):
         pattern_permutation(1)
+
+
+def test_oversized_pattern_permutations_are_refused_before_allocating():
+    # 2**40 rows once reached numpy, which raised a bare MemoryError for 8 TiB
+    for n in (2**40, entangler_module.TENSOR_SIZE_CAP + 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=rf"^pattern permutation of size {n} "):
+                pattern_permutation(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", list(range(2, 82)))

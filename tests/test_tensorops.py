@@ -19,10 +19,13 @@ from braidgate import (
     ResourceLimitError,
     StateVector,
     evaluate_quadric,
+    is_fully_separable,
     is_unitary,
     kron,
     lex_index,
+    quadric_generators,
     random_phases,
+    rank1_oracle,
     segre_map,
 )
 
@@ -186,6 +189,22 @@ def test_oversized_tensors_are_refused_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def test_tensors_of_more_than_64_slots_have_no_array_form():
+    # numpy's bare ValueError on a 65th axis once leaked from these calls
+    t = CoefficientTensor((1,) * 65, [2 - 1j])
+    with pytest.raises(InputError, match="^a tensor of 65 slots has no array form"):
+        t.as_array()
+    with pytest.raises(InputError, match="^65 factors exceed numpy's 64 axes$"):
+        segre_map([[1.0]] * 65)
+    assert t.at((1,) * 65) == 2 - 1j
+    assert CoefficientTensor((1,) * 64, [3]).as_array().shape == (1,) * 64
+    # the calls that never needed the array form keep working
+    assert is_fully_separable(t).separable and rank1_oracle(t)
+    assert quadric_generators((1,) * 65) == () and lex_index((1,) * 65, (1,) * 65) == 1
+    wide = CoefficientTensor((1,) * 40 + (2,) + (1,) * 40, [5, 7])
+    assert wide.at((1,) * 40 + (2,) + (1,) * 40) == 7
 
 
 def test_is_unitary():
