@@ -25,13 +25,15 @@ checked inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import _as_array, _as_int, _as_ints, _as_tol, _check_type, _hold
+from .segre import TABLE_CACHE_BYTES
+from .tensorops import _TableCache, _as_array, _as_int, _as_ints, _as_tol, _check_type, _hold
 
 # Strand representations (R itself on 2 strands) are capped at this size.
 REP_DIM_CAP = 4096
@@ -192,31 +194,47 @@ def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
     return YbeReport(residual, residual <= tol, tol)
 
 
+@functools.partial(_TableCache, budget=TABLE_CACHE_BYTES // 4)
+def _monomial_walk(key: tuple[int, bytes]) -> np.ndarray:
+    """The read-only ``(4, 2, dim**3)`` walk of basis rows through both sides
+    of the YBE, for ``key = (dim, cols)``, the permutation as intp bytes:
+    ``walk[i, side]`` is the pair index factor i reads on each row, and
+    ``walk[3, side]`` the row's final column. Side 0 is R12 R23 R12 and side
+    1 R23 R12 R23, leftmost factor first. Walks are cached by key, up to
+    256 KiB each at ``dim = 16``."""
+    dim, cols = key[0], np.frombuffer(key[1], np.intp)
+    # s is the place value of the lower of the two digits R acts on
+    x, pairs, s = np.arange(dim**3), [], np.array([[dim], [1]])
+    for _ in range(3):
+        pairs.append(x // s % (dim * dim))
+        x, s = x + (cols[pairs[-1]] - pairs[-1]) * s, s[::-1]
+    walk = np.stack(pairs + [x])
+    walk.setflags(write=False)
+    return walk
+
+
 def _monomial_ybe_residual(cols: np.ndarray, values: np.ndarray, dim: int) -> float:
     """The YBE residual of the R whose row r holds only ``values[r]``, at
     column ``cols[r]``, a permutation: the layout of a
     :class:`braidgate.entangler.MonomialGateMatrix`'s ``col_of_row`` and
     ``value_of_row``, zero values included. Each side sends basis row x to
     one column with one value, so x's residual is ``|vL - vR|`` on one
-    column, else ``max(|vL|, |vR|)``."""
+    column, else ``max(|vL|, |vR|)``. The walk of rows depends on ``cols``
+    only (see :func:`_monomial_walk`)."""
 
     def times(a, b):
         # parts rounded one product at a time, as in the dense kernel's BLAS
         # products; numpy's complex product may fuse a*b - c*d
         return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
-    # row 0 of x follows R12 R23 R12 and row 1 R23 R12 R23, leftmost factor
-    # first; s is the place value of the lower of the two digits R acts on.
-    # The values multiply rightmost first, and the last factor's values are
+    walk = _monomial_walk((dim, cols.astype(np.intp, copy=False).tobytes()))
+    # the values multiply rightmost first, and the last factor's values are
     # taken as they are, not as products with 1.0
-    x, steps, s = np.arange(dim**3), [], np.array([[dim], [1]])
+    steps = values[walk[:3]]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(3):
-            pair = x // s % (dim * dim)
-            steps.append(values[pair])
-            x, s = x + (cols[pair] - pair) * s, s[::-1]
-        (col_l, col_r), (v_l, v_r) = x, times(steps[0], times(steps[1], steps[2]))
-        worst = np.where(col_l == col_r, np.abs(v_l - v_r), np.maximum(np.abs(v_l), np.abs(v_r)))
+        v_l, v_r = times(steps[0], times(steps[1], steps[2]))
+        worst = np.where(walk[3, 0] == walk[3, 1], np.abs(v_l - v_r),
+                         np.maximum(np.abs(v_l), np.abs(v_r)))
     return float(np.max(worst))
 
 

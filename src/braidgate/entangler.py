@@ -28,14 +28,15 @@ checks.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
+from .segre import DEFAULT_SEPARABILITY_TOL, TABLE_CACHE_BYTES, SeparabilityVerdict, _verdict
 from .tensorops import TENSOR_SIZE_CAP, CoefficientTensor, StateVector, _as_array, _as_int
-from .tensorops import _as_ints, _as_tol, _check_type, _hold, _trusted
+from .tensorops import _TableCache, _as_ints, _as_tol, _check_type, _hold, _trusted
 
 
 class Convention(str, enum.Enum):
@@ -45,12 +46,16 @@ class Convention(str, enum.Enum):
     THEOREM = "theorem"
 
 
+# a Convention is a str, so it finds its own token
+_CONVENTIONS = {c.value: c for c in Convention}
+
+
 def as_convention(value) -> Convention:
     try:
-        return Convention(value)
-    except ValueError as exc:
-        names = ", ".join(c.value for c in Convention)
-        raise InputError(f"unknown convention {value!r} (expected one of: {names})") from exc
+        return _CONVENTIONS[value]
+    except (KeyError, TypeError):
+        names = ", ".join(_CONVENTIONS)
+        raise InputError(f"unknown convention {value!r} (expected one of: {names})") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,16 +101,32 @@ class MonomialGateMatrix:
         ]
 
     def dense(self) -> np.ndarray:
+        """R as a dense matrix; an ``n * n`` above ``TENSOR_SIZE_CAP`` is a
+        :class:`ResourceLimitError`, refused before anything is allocated."""
+        if self.n * self.n > TENSOR_SIZE_CAP:
+            raise ResourceLimitError(f"dense gate of size {self.n}x{self.n} exceeds cap "
+                                     f"{TENSOR_SIZE_CAP} entries")
         out = np.zeros((self.n, self.n), dtype=np.complex128)
         out[np.arange(self.n), self.col_of_row] = self.value_of_row
         return out
 
 
+# Gate patterns are kept per size as held arrays (see _hold), which every
+# gate of that size shares.
+_cache_patterns = functools.partial(_TableCache, budget=TABLE_CACHE_BYTES // 4)
+
+
+@_cache_patterns
 def _entangler_pattern(n: int) -> np.ndarray:
     cols = np.arange(n - 1, -1, -1, dtype=np.int64)
     cols[0] = 0
     cols[n - 1] = n - 1
-    return cols
+    return np.frombuffer(cols.tobytes(), np.int64)
+
+
+@_cache_patterns
+def _identity_pattern(n: int) -> np.ndarray:
+    return np.frombuffer(np.arange(n, dtype=np.int64).tobytes(), np.int64)
 
 
 def _row_values(tensor: CoefficientTensor, convention: Convention) -> np.ndarray:
@@ -162,7 +183,7 @@ def phase_gate(tensor: CoefficientTensor, convention=Convention.THEOREM) -> Mono
     formed."""
     values = _row_values(tensor, as_convention(convention))
     return _trusted(MonomialGateMatrix, n=values.size,
-                    col_of_row=np.arange(values.size, dtype=np.int64), value_of_row=values)
+                    col_of_row=_identity_pattern(values.size), value_of_row=values)
 
 
 def apply_entangler(tensor: CoefficientTensor, convention=Convention.THEOREM) -> StateVector:

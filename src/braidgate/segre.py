@@ -19,9 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import threading
 import weakref
-from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -29,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .tensorops import CoefficientTensor, _as_array, _as_dims, _as_int, _as_tol, _check_type
-from .tensorops import _MAX_AXES, _check_digits, _check_size, _hold, _trusted
+from .tensorops import _MAX_AXES, _TableCache, _check_digits, _check_size, _hold, _trusted
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -152,37 +150,7 @@ def _rest_offsets(rest: int, place: int, d: int) -> np.ndarray:
     return idx // place * (place * d) + idx % place
 
 
-class _TableCache:
-    """A table builder whose tables are kept by shape while they hold at most
-    ``TABLE_CACHE_BYTES`` in all; the least recently used go first.
-    """
-
-    def __init__(self, build):
-        functools.update_wrapper(self, build)
-        self._build = build
-        self._lock = threading.Lock()
-        self.tables: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
-        self.nbytes = 0
-
-    def __call__(self, dims: tuple[int, ...]) -> np.ndarray:
-        with self._lock:
-            table = self.tables.get(dims)
-            if table is not None:
-                self.tables.move_to_end(dims)
-                return table
-            table = self.tables[dims] = self._build(dims)
-            self.nbytes += sys.getsizeof(table)
-            while self.nbytes > TABLE_CACHE_BYTES:
-                self.nbytes -= sys.getsizeof(self.tables.popitem(last=False)[1])
-            return table
-
-    def clear(self) -> None:
-        with self._lock:
-            self.tables.clear()
-            self.nbytes = 0
-
-
-@_TableCache
+@functools.partial(_TableCache, budget=TABLE_CACHE_BYTES)
 def _generator_table(dims: tuple[int, ...]) -> np.ndarray:
     """The rows ``k, l, kp, lp`` of one read-only ``(4, count)`` array: flat
     0-based indices of the canonical generators.
@@ -202,7 +170,7 @@ def _generator_table(dims: tuple[int, ...]) -> np.ndarray:
     rows. Refuses shapes beyond ``GENERATOR_CAP`` before
     allocating anything sized by the shape; a shape with no generators
     allocates nothing sized by the shape either. Tables are cached by shape
-    (see :class:`_TableCache`).
+    (see :class:`braidgate.tensorops._TableCache`).
     """
     count = _generator_count(dims)
     if count > GENERATOR_CAP:

@@ -11,7 +11,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +112,48 @@ def _trusted(kind: type, **fields):
     checks: :func:`_hold` on a bare instance, so an array already held is
     shared and any other is an immutable copy."""
     return _hold(object.__new__(kind), fields)
+
+
+class _TableCache:
+    """A builder of read-only arrays that keeps them by key while they hold at
+    most ``budget`` bytes in all, headers and data; the least recently used
+    go first. One larger than the budget is returned, and neither kept nor
+    makes room. Made as a decorator: ``@functools.partial(_TableCache,
+    budget=...)``.
+    """
+
+    def __init__(self, build, budget: int):
+        functools.update_wrapper(self, build)
+        self._build = build
+        self.budget = budget
+        self._lock = threading.Lock()
+        self.tables: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    @staticmethod
+    def _bytes(table: np.ndarray) -> int:
+        # sys.getsizeof counts an array's data only when the array owns it,
+        # which an array over bytes does not
+        return sys.getsizeof(table) + (0 if table.flags.owndata else table.nbytes)
+
+    def __call__(self, key) -> np.ndarray:
+        with self._lock:
+            table = self.tables.get(key)
+            if table is not None:
+                self.tables.move_to_end(key)
+                return table
+            table = self._build(key)
+            if self._bytes(table) <= self.budget:
+                self.tables[key] = table
+                self.nbytes += self._bytes(table)
+                while self.nbytes > self.budget:
+                    self.nbytes -= self._bytes(self.tables.popitem(last=False)[1])
+            return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self.tables.clear()
+            self.nbytes = 0
 
 
 def _check_type(value, kind: type, name: str) -> None:

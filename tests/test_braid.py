@@ -481,6 +481,47 @@ def test_monomial_core_reads_a_gate_with_zero_values(dim, convention):
     assert _dense_ybe_residual(gate.dense(), dim) == residual
 
 
+def uncached_monomial_ybe_residual(cols, values, dim):
+    """The monomial residual as it was before walks were cached: the walk of
+    rows is taken on every call, with the values gathered as it goes."""
+
+    def times(a, b):
+        return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+    x, steps, s = np.arange(dim**3), [], np.array([[dim], [1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            pair = x // s % (dim * dim)
+            steps.append(values[pair])
+            x, s = x + (cols[pair] - pair) * s, s[::-1]
+        (col_l, col_r), (v_l, v_r) = x, times(steps[0], times(steps[1], steps[2]))
+        worst = np.where(col_l == col_r, np.abs(v_l - v_r), np.maximum(np.abs(v_l), np.abs(v_r)))
+    return float(np.max(worst))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False),
+       st.sampled_from(["gaussian", "unimodular", "zero"]), st.integers(0, 2**32 - 1))
+def test_cached_walk_keeps_every_residual_bit(dim, random, kind, seed):
+    # the walk depends on the permutation only, so it is cached per
+    # permutation and the values are gathered along it on every call
+    n = dim * dim
+    cols = np.array(random.sample(range(n), n), dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "unimodular":
+        values = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    elif kind == "zero":
+        values[rng.random(n) < 0.5] = 0
+    residual = braid_module._monomial_ybe_residual(cols, values, dim)
+    assert residual.hex() == uncached_monomial_ybe_residual(cols, values, dim).hex()
+    key = (dim, cols.tobytes())
+    walk = braid_module._monomial_walk.tables[key]
+    assert braid_module._monomial_ybe_residual(cols, values, dim).hex() == residual.hex()
+    assert braid_module._monomial_walk.tables[key] is walk
+    assert next(reversed(braid_module._monomial_walk.tables)) == key
+
+
 def test_only_monomial_r_is_read_as_a_permutation(monkeypatch):
     taken = []
     for name in ("_monomial_ybe_residual", "_dense_ybe_residual"):

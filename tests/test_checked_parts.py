@@ -194,6 +194,8 @@ HELD = {
     # numpy unpickles an array of over 1000 bytes over the pickle's bytes
     "random_phases (16, 16)": lambda _: random_phases((16, 16), 2),
     "construct_entangler (16, 16)": lambda _: construct_entangler(random_phases((16, 16), 2)),
+    # the cached identity pattern that every diagonal gate of a size shares
+    "phase_gate (16, 16)": lambda _: phase_gate(random_phases((16, 16), 2)),
 }
 ROUTES = {
     "built": lambda x: x,

@@ -128,6 +128,36 @@ def test_oversized_pattern_permutations_are_refused_before_allocating():
         assert peak < 2**20
 
 
+def test_dense_gates_over_the_tensor_cap_are_refused_before_allocating():
+    # 2**20 rows once reached numpy, which raised a bare MemoryError for 16 TiB
+    with pytest.raises(ResourceLimitError, match=r"^dense gate of size 1048576x1048576 "):
+        pattern_permutation(2**20).dense()
+    # 4097**2 is the first size past TENSOR_SIZE_CAP; 4096 is the largest R the CLI densifies
+    gate = pattern_permutation(4097)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"^dense gate of size 4097x4097 "):
+            gate.dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert 4096**2 == entangler_module.TENSOR_SIZE_CAP
+
+
+def test_conventions_are_read_from_their_tokens():
+    for conv in Convention:
+        assert entangler_module.as_convention(conv) is conv
+        assert entangler_module.as_convention(conv.value) is conv
+        assert entangler_module.as_convention(np.str_(conv.value)) is conv
+    t = random_phases((2, 2), 1)
+    for bad in ("paper", "THEOREM", b"theorem", None, 1, [], {}):
+        for call in (construct_entangler, phase_gate, apply_entangler, certify_entangler):
+            with pytest.raises(InputError, match=r"^unknown convention .* "
+                                                 r"\(expected one of: paper-matrix, theorem\)$"):
+                call(t, bad)
+
+
 @pytest.mark.parametrize("n", list(range(2, 82)))
 def test_pattern_permutation_is_involution(n):
     # phase_gate reads R @ P from R's values because P @ P = I
