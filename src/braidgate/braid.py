@@ -25,15 +25,13 @@ checked inputs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .segre import TABLE_CACHE_BYTES
-from .tensorops import _TableCache, _as_array, _as_int, _as_ints, _as_tol, _check_type, _hold
+from .tensorops import _as_array, _as_int, _as_ints, _as_tol, _cached, _check_type, _hold
 
 # Strand representations (R itself on 2 strands) are capped at this size.
 REP_DIM_CAP = 4096
@@ -194,7 +192,7 @@ def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
     return YbeReport(residual, residual <= tol, tol)
 
 
-@functools.partial(_TableCache, budget=TABLE_CACHE_BYTES // 4)
+@_cached
 def _monomial_walk(key: tuple[int, bytes]) -> np.ndarray:
     """The read-only ``(4, 2, dim**3)`` walk of basis rows through both sides
     of the YBE, for ``key = (dim, cols)``, the permutation as intp bytes:

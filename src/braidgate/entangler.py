@@ -28,15 +28,14 @@ checks.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .segre import DEFAULT_SEPARABILITY_TOL, TABLE_CACHE_BYTES, SeparabilityVerdict, _verdict
+from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
 from .tensorops import TENSOR_SIZE_CAP, CoefficientTensor, StateVector, _as_array, _as_int
-from .tensorops import _TableCache, _as_ints, _as_tol, _check_type, _hold, _trusted
+from .tensorops import _as_ints, _as_tol, _cached, _check_type, _hold, _trusted
 
 
 class Convention(str, enum.Enum):
@@ -113,10 +112,7 @@ class MonomialGateMatrix:
 
 # Gate patterns are kept per size as held arrays (see _hold), which every
 # gate of that size shares.
-_cache_patterns = functools.partial(_TableCache, budget=TABLE_CACHE_BYTES // 4)
-
-
-@_cache_patterns
+@_cached
 def _entangler_pattern(n: int) -> np.ndarray:
     cols = np.arange(n - 1, -1, -1, dtype=np.int64)
     cols[0] = 0
@@ -124,7 +120,7 @@ def _entangler_pattern(n: int) -> np.ndarray:
     return np.frombuffer(cols.tobytes(), np.int64)
 
 
-@_cache_patterns
+@_cached
 def _identity_pattern(n: int) -> np.ndarray:
     return np.frombuffer(np.arange(n, dtype=np.int64).tobytes(), np.int64)
 

@@ -8,10 +8,11 @@ exactly when every degree-2 generator
 
 vanishes. The generators are the 2x2 minors of the mode flattenings. This
 module fills flat index arrays for them by index arithmetic, dropping minors
-that several modes share, and keeps the tables of recently used shapes up to
-a byte bound. It scans them with numpy, remembers the scan of each tensor
-while the tensor lives, and cross-checks verdicts with an independent rank-1
-oracle based on singular values of the flattenings.
+that several modes share, and keeps the tables of recently used shapes in
+the one structure cache of :mod:`braidgate.tensorops`. It scans them with
+numpy, remembers the scan of each tensor while the tensor lives, and
+cross-checks verdicts with an independent rank-1 oracle based on singular
+values of the flattenings.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .tensorops import CoefficientTensor, _as_array, _as_dims, _as_int, _as_tol, _check_type
-from .tensorops import _MAX_AXES, _TableCache, _check_digits, _check_size, _hold, _trusted
+from .tensorops import _MAX_AXES, _cached, _check_digits, _check_size, _hold, _trusted
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -37,13 +38,9 @@ MARGINAL_HIGH = 1e-6
 DEFAULT_SEPARABILITY_TOL = 1e-9
 
 # Shapes with more generators than this are refused: at the cap the index
-# table alone takes 32 MB. (3,)^6 has 518,319 generators; (2,)^11 has
+# table alone takes 32 MiB. (3,)^6 has 518,319 generators; (2,)^11 has
 # 5,733,376.
 GENERATOR_CAP = 2**20
-
-# Bytes the cached generator tables may hold in all, array headers included.
-# A table at the cap takes 32 MiB, so the newest table is always kept.
-TABLE_CACHE_BYTES = 64 * 2**20
 
 # Generators per step of the violation scan. Its temporaries then stay near
 # 64 KB each, which the allocator reuses from call to call instead of
@@ -150,7 +147,7 @@ def _rest_offsets(rest: int, place: int, d: int) -> np.ndarray:
     return idx // place * (place * d) + idx % place
 
 
-@functools.partial(_TableCache, budget=TABLE_CACHE_BYTES)
+@_cached
 def _generator_table(dims: tuple[int, ...]) -> np.ndarray:
     """The rows ``k, l, kp, lp`` of one read-only ``(4, count)`` array: flat
     0-based indices of the canonical generators.
@@ -170,7 +167,7 @@ def _generator_table(dims: tuple[int, ...]) -> np.ndarray:
     rows. Refuses shapes beyond ``GENERATOR_CAP`` before
     allocating anything sized by the shape; a shape with no generators
     allocates nothing sized by the shape either. Tables are cached by shape
-    (see :class:`braidgate.tensorops._TableCache`).
+    (see :func:`braidgate.tensorops._cached`).
     """
     count = _generator_count(dims)
     if count > GENERATOR_CAP:

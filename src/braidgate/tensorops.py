@@ -1,4 +1,5 @@
-"""Multi-index arithmetic, coefficient tensors, and small dense linear algebra.
+"""Multi-index arithmetic, coefficient tensors, small dense linear algebra,
+and the one cache of structure that depends on shape alone.
 
 Conventions used throughout the package:
 
@@ -7,6 +8,11 @@ Conventions used throughout the package:
 * linear (lex) indices are 1-based with the FIRST digit most significant,
   which is exactly numpy's C order on the reshaped array;
 * coefficient tensors and state vectors are stored flat in that lex order.
+
+Generator tables (:mod:`braidgate.segre`), Yang-Baxter walks
+(:mod:`braidgate.braid`) and gate patterns (:mod:`braidgate.entangler`) are
+built by functions decorated ``@_cached``, and kept in one
+:class:`_TableCache` within ``TABLE_CACHE_BYTES`` in all.
 """
 
 from __future__ import annotations
@@ -31,13 +37,23 @@ TENSOR_SIZE_CAP = 2**24
 # numpy's limit on an array's axes: a tensor of more slots has no array form.
 _MAX_AXES = 64
 
+# Bytes the cached structure (generator tables, Yang-Baxter walks and gate
+# patterns) may hold in all, array headers included. A generator table at
+# segre.GENERATOR_CAP takes 32 MiB, so the newest table is always kept.
+TABLE_CACHE_BYTES = 64 * 2**20
+
+# Python and numpy take a bool as the number 0 or 1, but it is never a count,
+# digit, seed or tolerance.
+_BOOLS = (bool, np.bool_)
+
 
 def _as_int(value, name: str) -> int:
-    """An integer argument as an int: a value that ``int()`` rejects or changes
-    is an :class:`InputError`. Decimal strings such as ``"3"`` (the CLI's) parse."""
+    """An integer argument as an int: a bool, or a value that ``int()`` rejects
+    or changes, is an :class:`InputError`. Decimal strings such as ``"3"``
+    (the CLI's) parse."""
     try:
         out = int(value)
-        if isinstance(value, str) or out == value:
+        if isinstance(value, str) or (out == value and not isinstance(value, _BOOLS)):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
@@ -115,17 +131,14 @@ def _trusted(kind: type, **fields):
 
 
 class _TableCache:
-    """A builder of read-only arrays that keeps them by key while they hold at
-    most ``budget`` bytes in all, headers and data; the least recently used
-    go first. One larger than the budget is returned, and neither kept nor
-    makes room. Made as a decorator: ``@functools.partial(_TableCache,
-    budget=...)``.
+    """Read-only arrays that depend on structure alone, kept by ``(build,
+    key)`` while they hold at most ``TABLE_CACHE_BYTES`` in all, headers and
+    data; the least recently used go first. One larger than the budget is
+    returned, and neither kept nor makes room. There is one, ``_tables``,
+    which the builders take as ``@_cached``.
     """
 
-    def __init__(self, build, budget: int):
-        functools.update_wrapper(self, build)
-        self._build = build
-        self.budget = budget
+    def __init__(self):
         self._lock = threading.Lock()
         self.tables: OrderedDict = OrderedDict()
         self.nbytes = 0
@@ -136,17 +149,17 @@ class _TableCache:
         # which an array over bytes does not
         return sys.getsizeof(table) + (0 if table.flags.owndata else table.nbytes)
 
-    def __call__(self, key) -> np.ndarray:
+    def __call__(self, build, key) -> np.ndarray:
         with self._lock:
-            table = self.tables.get(key)
+            table = self.tables.get((build, key))
             if table is not None:
-                self.tables.move_to_end(key)
+                self.tables.move_to_end((build, key))
                 return table
-            table = self._build(key)
-            if self._bytes(table) <= self.budget:
-                self.tables[key] = table
+            table = build(key)
+            if self._bytes(table) <= TABLE_CACHE_BYTES:
+                self.tables[(build, key)] = table
                 self.nbytes += self._bytes(table)
-                while self.nbytes > self.budget:
+                while self.nbytes > TABLE_CACHE_BYTES:
                     self.nbytes -= self._bytes(self.tables.popitem(last=False)[1])
             return table
 
@@ -156,15 +169,24 @@ class _TableCache:
             self.nbytes = 0
 
 
+_tables = _TableCache()
+
+
+def _cached(build):
+    """``build``, a builder of read-only arrays from one key, kept in ``_tables``."""
+    return functools.wraps(build)(functools.partial(_tables, build))
+
+
 def _check_type(value, kind: type, name: str) -> None:
     if not isinstance(value, kind):
         raise InputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _as_tol(tol) -> float:
-    """A tolerance as a float: finite and above zero, else :class:`InputError`."""
+    """A tolerance as a float: finite and above zero, and not a bool, else
+    :class:`InputError`."""
     try:
-        value = float(tol)
+        value = math.nan if isinstance(tol, _BOOLS) else float(tol)
     except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not 0.0 < value < math.inf:

@@ -25,6 +25,7 @@ from braidgate import (
 )
 import braidgate.braid as braid_module
 from braidgate.braid import _apply_on_strands, _dense_ybe_residual
+from braidgate.tensorops import _tables
 
 
 def phase_matrix(n, seed):
@@ -515,11 +516,12 @@ def test_cached_walk_keeps_every_residual_bit(dim, random, kind, seed):
         values[rng.random(n) < 0.5] = 0
     residual = braid_module._monomial_ybe_residual(cols, values, dim)
     assert residual.hex() == uncached_monomial_ybe_residual(cols, values, dim).hex()
-    key = (dim, cols.tobytes())
-    walk = braid_module._monomial_walk.tables[key]
+    # the one structure cache keys each walk by its builder and key
+    key = (braid_module._monomial_walk.__wrapped__, (dim, cols.tobytes()))
+    walk = _tables.tables[key]
     assert braid_module._monomial_ybe_residual(cols, values, dim).hex() == residual.hex()
-    assert braid_module._monomial_walk.tables[key] is walk
-    assert next(reversed(braid_module._monomial_walk.tables)) == key
+    assert _tables.tables[key] is walk
+    assert next(reversed(_tables.tables)) == key
 
 
 def test_only_monomial_r_is_read_as_a_permutation(monkeypatch):

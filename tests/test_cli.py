@@ -27,7 +27,6 @@ from braidgate import (
     rank1_oracle,
 )
 from braidgate.cli import main
-from braidgate.segre import _generator_table
 from braidgate.serialize import (
     emit_json,
     matrix_from_payload,
@@ -37,6 +36,7 @@ from braidgate.serialize import (
     tensor_to_payload,
     verdict_to_payload,
 )
+from braidgate.tensorops import _tables
 
 BELL_PAYLOAD = {"dims": [2, 2], "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
 # (1,1,2) (x) (1,1,1) as a flat lex-ordered tensor
@@ -295,7 +295,7 @@ def test_generators_counts(capsys):
 
 
 def test_generators_zero_count_shape_allocates_nothing(capsys):
-    _generator_table.clear()
+    _tables.clear()
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "generators", "--dims", "10000000,1")

@@ -10,12 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidgate import ResourceLimitError
-from braidgate.segre import (
-    GENERATOR_CAP,
-    TABLE_CACHE_BYTES,
-    _generator_count,
-    _generator_table,
-)
+from braidgate.segre import GENERATOR_CAP, _generator_count, _generator_table
+from braidgate.tensorops import TABLE_CACHE_BYTES, _tables
 
 # --- reference builder ----------------------------------------------------
 #
@@ -114,26 +110,33 @@ NEAR_CAP_SHAPES = [(8, 11, 11), (9, 10, 11), (10, 10, 10), (10, 11, 11), (2, 4, 
                    (3, 7, 7, 7), (4, 4, 6, 10)]
 
 
+def held_shapes():
+    """The shapes whose tables the one structure cache holds, oldest first;
+    it holds nothing else, as each test here starts from an empty cache."""
+    keys = list(_tables.tables)
+    assert all(build is _generator_table.__wrapped__ for build, _ in keys)
+    return [dims for _, dims in keys]
+
+
 def test_cache_holds_at_most_its_byte_bound():
     assert all(2**19 <= _generator_count(dims) <= 2**20 for dims in NEAR_CAP_SHAPES)
-    _generator_table.clear()
+    _tables.clear()
     try:
         for i, dims in enumerate(NEAR_CAP_SHAPES):
             newest = _generator_table(dims)
-            held = list(_generator_table.tables)
+            held = held_shapes()
             # the most recent shapes, oldest first, the newest always among them
             assert held == NEAR_CAP_SHAPES[i + 1 - len(held):i + 1]
-            assert _generator_table.nbytes == sum(
-                map(sys.getsizeof, _generator_table.tables.values()))
-            assert _generator_table.nbytes <= TABLE_CACHE_BYTES
+            assert _tables.nbytes == sum(map(sys.getsizeof, _tables.tables.values()))
+            assert _tables.nbytes <= TABLE_CACHE_BYTES
         assert _generator_table(NEAR_CAP_SHAPES[-1]) is newest
         # 21.2 + 24.9 + 21.6 MiB pass the bound, so two tables are left
         assert held == [(3, 7, 7, 7), (4, 4, 6, 10)]
         # a hit makes (3, 7, 7, 7) the most recent, so the next miss evicts the other
         kept = _generator_table((3, 7, 7, 7))
         _generator_table((10, 11, 11))
-        assert list(_generator_table.tables) == [(3, 7, 7, 7), (10, 11, 11)]
+        assert held_shapes() == [(3, 7, 7, 7), (10, 11, 11)]
         assert _generator_table((3, 7, 7, 7)) is kept
     finally:
-        _generator_table.clear()
-    assert _generator_table.nbytes == 0
+        _tables.clear()
+    assert _tables.nbytes == 0

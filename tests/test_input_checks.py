@@ -203,6 +203,36 @@ def test_integral_values_and_decimal_strings_are_integers():
     assert MonomialGateMatrix(2, [1.0, "0"], [1, 1]).col_of_row.tolist() == [1, 0]
 
 
+# Python and numpy take a bool as the number 1 or 0: each of these calls once
+# ran on True as 1, as dims (1, 2), seed 1, the word (1,), dim 1 or tolerance 1.0
+BOOL_CALLS = {
+    "random_phases dims": lambda b: random_phases((b, 2), 0),
+    "random_phases seed": lambda b: random_phases((2, 2), b),
+    "CoefficientTensor dims": lambda b: CoefficientTensor((b, 2), np.ones(2)),
+    "lex_index digits": lambda b: lex_index([b, b], [2, 2]),
+    "QuadricGenerator slot": lambda b: QuadricGenerator(b, (1, 1), (2, 2), (2, 2)),
+    "BraidWord letter": lambda b: BraidWord(3, (b,)),
+    "check_yang_baxter dim": lambda b: check_yang_baxter(np.eye(1), b),
+    "evaluate_braid_word dim": lambda b: evaluate_braid_word(BraidWord(2, (1,)), np.eye(1), b),
+    "MonomialGateMatrix n": lambda b: MonomialGateMatrix(b, [0], [1]),
+    "MonomialGateMatrix col_of_row": lambda b: MonomialGateMatrix(2, [b, 0], [1, 1]),
+    "MonomialGateMatrix bool array": lambda b: MonomialGateMatrix(2, np.array([b, not b]), [1, 1]),
+    "is_fully_separable tol": lambda b: is_fully_separable(T, b),
+    "rank1_oracle tol": lambda b: rank1_oracle(T, b),
+    "check_yang_baxter tol": lambda b: check_yang_baxter(R, 2, b),
+    "certify_entangler unitary_tol": lambda b: certify_entangler(T, unitary_tol=b),
+    "is_unitary tol": lambda b: is_unitary(R, b),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy bool"])
+@pytest.mark.parametrize("name", list(BOOL_CALLS))
+def test_a_bool_is_not_an_integer_or_a_tolerance(name, value):
+    with pytest.raises(InputError, match="must be (an integer|a sequence of integers), got|"
+                                         "tolerance must be finite and positive"):
+        BOOL_CALLS[name](value)
+
+
 @pytest.mark.parametrize("word", [(3, (1,)), [3, [1]], None, "b1"])
 def test_braid_words_must_be_braid_words(word):
     # a tuple once raised AttributeError from the strand check

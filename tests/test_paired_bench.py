@@ -1,7 +1,10 @@
-"""The summary of ``tools/paired_bench.py`` on fixed numbers."""
+"""The summary of ``tools/paired_bench.py`` on fixed numbers, and a series
+cut short by a run that fails."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -54,3 +57,64 @@ def test_ties_count_for_neither_side_and_bounds_follow_the_better_direction():
     rate = paired_bench.summarize(low, METRICS)["rate"]
     assert (rate["wins"], rate["losses"]) == (0, 3)
     assert rate["within_bound"] and not rate["gain_shown"]
+
+
+def result(warm_ms):
+    return {"metrics": {"warm_ms": {"value": warm_ms}, "rate": {"value": 100.0}},
+            "correct": True, "failed": 0}
+
+
+def test_a_failed_run_is_recorded_and_the_completed_pairs_are_summarized(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(paired_bench.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(paired_bench, "export", lambda ref, dest: None)
+    # seed 1: parent then change; seed 2: change, then the parent's run exits 3
+    outcomes = iter([result(20.0), result(18.0), result(17.0),
+                     {"exit_code": 3, "stderr_tail": ["Traceback", "ValueError: bad"]}])
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append(seed)
+        return next(outcomes)
+
+    monkeypatch.setattr(paired_bench, "run", fake_run)
+    argv = ["--parent", "HEAD", "--workload", "w", "--seeds", "1", "2", "3",
+            "--seconds", "1", "--json", "out.json"]
+    assert paired_bench.main(argv) == 1
+    # the series stops at the failed run: seed 3 never runs
+    assert calls == [1, 1, 2, 2]
+    out = capsys.readouterr().out
+    assert "seed 2 parent: exited 3; its stderr ends:\n    Traceback\n    ValueError: bad" in out
+    assert "w, 1 pairs" in out and "every run correct with no failed operation: False" in out
+    saved = json.loads((tmp_path / "out.json").read_text())
+    assert saved["all_correct"] is False and len(saved["runs"]) == 1
+    assert saved["failed_run"] == {"seed": 2, "side": "parent", "exit_code": 3,
+                                   "stderr_tail": ["Traceback", "ValueError: bad"]}
+    assert saved["summary"]["warm_ms"]["parent"]["median"] == 20.0
+    assert saved["summary"]["warm_ms"]["change"]["median"] == 18.0
+
+
+def test_a_failed_first_run_leaves_nothing_to_summarize(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(paired_bench.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(paired_bench, "export", lambda ref, dest: None)
+    monkeypatch.setattr(paired_bench, "run", lambda *args: {"exit_code": 1, "stderr_tail": []})
+    argv = ["--parent", "HEAD", "--workload", "w", "--seeds", "1", "--seconds", "1"]
+    assert paired_bench.main(argv) == 1
+    saved = json.loads((tmp_path / ".perfbench" / "paired-w.json").read_text())
+    assert saved["summary"] == {} and saved["runs"] == [] and not saved["all_correct"]
+
+
+def test_a_run_that_exits_non_zero_keeps_its_code_and_last_20_stderr_lines(monkeypatch):
+    stderr = "".join(f"line {i}\n" for i in range(30))
+
+    def fake(cmd, **kwargs):
+        assert "check" not in kwargs
+        return subprocess.CompletedProcess(cmd, 2, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(paired_bench.subprocess, "run", fake)
+    assert paired_bench.run(".", "w", 1, 1.0) == {
+        "exit_code": 2, "stderr_tail": [f"line {i}" for i in range(10, 30)]}

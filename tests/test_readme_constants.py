@@ -12,9 +12,8 @@ from braidgate.segre import (
     MARGINAL_HIGH,
     MARGINAL_LOW,
     SCAN_CHUNK,
-    TABLE_CACHE_BYTES,
 )
-from braidgate.tensorops import KRON_DIM_CAP, TENSOR_SIZE_CAP
+from braidgate.tensorops import KRON_DIM_CAP, TABLE_CACHE_BYTES, TENSOR_SIZE_CAP
 
 README = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidgate.segre as segre
+import braidgate.tensorops as tensorops
 from braidgate import (
     CoefficientTensor,
     ResourceLimitError,
@@ -200,13 +201,13 @@ def _answers(tensors):
 
 
 def test_threads_get_the_serial_answers():
-    # four threads share the generator table cache, its lock and the
+    # four threads share the one structure cache, its lock and the
     # remembered scans, on shared tensors and on fresh ones of the same entries
     shared = [make(dims) for dims in THREAD_SHAPES for make in (
         lambda d: random_phases(d, sum(d)),
         lambda d: segre_map([np.arange(1.0, n + 1) + 1j for n in d]))]
     expected = _answers([_fresh(t) for t in shared])
-    segre._generator_table.clear()
+    tensorops._tables.clear()
     start, results = threading.Barrier(4), {}
 
     def work(i):

@@ -29,6 +29,7 @@ from braidgate.segre import (
     _generator_table,
     _nonzero_normalized,
 )
+from braidgate.tensorops import _tables
 
 BELL = CoefficientTensor((2, 2), [1, 0, 0, 1])
 
@@ -391,7 +392,7 @@ def test_oversized_shape_refused_before_allocating():
     dims = (2,) * 11
     assert _generator_count(dims) == 5_733_376 > GENERATOR_CAP
     tensor = CoefficientTensor(dims, np.ones(2**11))
-    cached = list(_generator_table.tables)
+    cached = list(_tables.tables)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):
@@ -402,13 +403,13 @@ def test_oversized_shape_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert list(_generator_table.tables) == cached
+    assert list(_tables.tables) == cached
 
 
 def test_zero_generator_shape_allocates_nothing():
     # the closed-form count is 0, so no index array sized by the shape is built
     dims = (1, 10**7)
-    _generator_table.clear()
+    _tables.clear()
     tracemalloc.start()
     try:
         gens = quadric_generators(dims)

@@ -14,6 +14,18 @@ the parent's, and whether a gain is shown: the change wins at least nine
 tenths of the pairs and its median is better than the parent's by more than
 the parent's interquartile range. The same summary, with every run's
 metrics, is written as JSON (by default ``.perfbench/paired-W.json``).
+
+A run that exits non-zero ends the series: its exit code and the last 20
+lines of its stderr are printed and kept in the JSON as ``failed_run``, the
+pairs completed before it are summarized with ``all_correct`` false, and the
+tool exits 1.
+
+Stopping the tool while a run is under way can leave a ``perfbench/worker.py``
+running: ``perfbench/run.py`` starts its worker in a session of its own and
+does not stop it when it is itself terminated, so the worker lives on for up
+to ``SWEEP_TIMEOUT_S`` = 150 s. Find it and stop it by pid. The mend belongs
+in ``perfbench/``, which changes only together with the benchmark.
+
 Standard library only.
 """
 
@@ -68,11 +80,15 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
 
 
 def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its parsed result line."""
+    """One ``perfbench/run.py`` run in ``tree``: its parsed result line, or,
+    if it exits non-zero, its ``exit_code`` and ``stderr_tail``, the last 20
+    lines of its stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -95,7 +111,7 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
-    runs = []
+    runs, failed = [], None
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as parent:
         export(args.parent, parent)
         for i, seed in enumerate(args.seeds):
@@ -103,13 +119,20 @@ def main(argv=None) -> int:
             result = {}
             for side, tree in sides if i % 2 == 0 else sides[::-1]:
                 result[side] = run(tree, args.workload, seed, args.seconds)
+                if "exit_code" in result[side]:
+                    failed = {"seed": seed, "side": side, **result[side]}
+                    print(f"seed {seed} {side}: exited {failed['exit_code']}; its stderr ends:",
+                          *failed["stderr_tail"], sep="\n    ", flush=True)
+                    break
                 print(f"seed {seed} {side}: " + " ".join(
                     f"{k}={v['value']:.4g}" for k, v in result[side]["metrics"].items()),
                     flush=True)
+            if failed:
+                break
             runs.append({"seed": seed, "first": "parent" if i % 2 == 0 else "change", **result})
     pairs = [tuple({k: v["value"] for k, v in r[side]["metrics"].items()}
                    for side in ("parent", "change")) for r in runs]
-    summary = summarize(pairs, metrics)
+    summary = summarize(pairs, metrics) if pairs else {}
     print(f"{args.workload}, {len(pairs)} pairs, parent {args.parent}: "
           "median (q1-q3), parent -> change")
     for name, s in summary.items():
@@ -118,14 +141,15 @@ def main(argv=None) -> int:
               f"{c['median']:.4g} ({c['q1']:.4g}-{c['q3']:.4g}) {s['unit']}; "
               f"change won {s['wins']}/{s['pairs']}; within bound: {s['within_bound']}; "
               f"gain shown: {s['gain_shown']}")
-    ok = all(r[side]["correct"] and not r[side]["failed"]
-             for r in runs for side in ("parent", "change"))
+    ok = not failed and all(r[side]["correct"] and not r[side]["failed"]
+                            for r in runs for side in ("parent", "change"))
     print(f"  every run correct with no failed operation: {ok}")
     path = args.json or os.path.join(".perfbench", f"paired-{args.workload}.json")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"parent": args.parent, "workload": args.workload, "seconds": args.seconds,
-                   "all_correct": ok, "summary": summary, "runs": runs}, fh, indent=1)
+                   "all_correct": ok, "summary": summary, "runs": runs, "failed_run": failed},
+                  fh, indent=1)
     return 0 if ok else 1
 
 
