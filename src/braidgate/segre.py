@@ -8,11 +8,11 @@ exactly when every degree-2 generator
 
 vanishes. The generators are the 2x2 minors of the mode flattenings. This
 module fills flat index arrays for them by index arithmetic, dropping minors
-that several modes share, and keeps the tables of recently used shapes in
-the one structure cache of :mod:`braidgate.tensorops`. It scans them with
-numpy, remembers the scan of each tensor while the tensor lives, and
-cross-checks verdicts with an independent rank-1 oracle based on singular
-values of the flattenings.
+that several modes share, and keeps the tables of the shapes it has built
+in the one structure cache of :mod:`braidgate.tensorops`, oldest evicted
+first. It scans them with numpy, remembers the scan of each tensor while the
+tensor lives, and cross-checks verdicts with an independent rank-1 oracle
+based on singular values of the flattenings.
 """
 
 from __future__ import annotations

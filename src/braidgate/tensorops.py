@@ -12,7 +12,8 @@ Conventions used throughout the package:
 Generator tables (:mod:`braidgate.segre`), Yang-Baxter walks
 (:mod:`braidgate.braid`) and gate patterns (:mod:`braidgate.entangler`) are
 built by functions decorated ``@_cached``, and kept in one
-:class:`_TableCache` within ``TABLE_CACHE_BYTES`` in all.
+:class:`_TableCache` within ``TABLE_CACHE_BYTES`` in all, in the order they
+were built; the oldest go first.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import functools
 import math
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +133,15 @@ def _trusted(kind: type, **fields):
 class _TableCache:
     """Read-only arrays that depend on structure alone, kept by ``(build,
     key)`` while they hold at most ``TABLE_CACHE_BYTES`` in all, headers and
-    data; the least recently used go first. One larger than the budget is
-    returned, and neither kept nor makes room. There is one, ``_tables``,
-    which the builders take as ``@_cached``.
+    data; the oldest built go first. One larger than the budget is returned,
+    and neither kept nor makes room. A hit takes no lock; a miss builds under
+    the lock, so each kept key is built once and misses wait for one another.
+    There is one, ``_tables``, which the builders take as ``@_cached``.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.tables: OrderedDict = OrderedDict()
+        self.tables: dict = {}
         self.nbytes = 0
 
     @staticmethod
@@ -150,18 +151,22 @@ class _TableCache:
         return sys.getsizeof(table) + (0 if table.flags.owndata else table.nbytes)
 
     def __call__(self, build, key) -> np.ndarray:
-        with self._lock:
-            table = self.tables.get((build, key))
-            if table is not None:
-                self.tables.move_to_end((build, key))
-                return table
-            table = build(key)
-            if self._bytes(table) <= TABLE_CACHE_BYTES:
-                self.tables[(build, key)] = table
-                self.nbytes += self._bytes(table)
-                while self.nbytes > TABLE_CACHE_BYTES:
-                    self.nbytes -= self._bytes(self.tables.popitem(last=False)[1])
-            return table
+        # Every key is a builder with an int, a tuple of ints, or an int and
+        # bytes, which CPython hashes and compares in C without running
+        # Python code, so this read cannot interleave with a write made
+        # under the lock.
+        table = self.tables.get((build, key))
+        if table is None:
+            with self._lock:
+                table = self.tables.get((build, key))
+                if table is None:
+                    table = build(key)
+                    if self._bytes(table) <= TABLE_CACHE_BYTES:
+                        self.tables[(build, key)] = table
+                        self.nbytes += self._bytes(table)
+                        while self.nbytes > TABLE_CACHE_BYTES:
+                            self.nbytes -= self._bytes(self.tables.pop(next(iter(self.tables))))
+        return table
 
     def clear(self) -> None:
         with self._lock:

@@ -518,10 +518,11 @@ def test_cached_walk_keeps_every_residual_bit(dim, random, kind, seed):
     assert residual.hex() == uncached_monomial_ybe_residual(cols, values, dim).hex()
     # the one structure cache keys each walk by its builder and key
     key = (braid_module._monomial_walk.__wrapped__, (dim, cols.tobytes()))
-    walk = _tables.tables[key]
+    walk, order = _tables.tables[key], list(_tables.tables)
     assert braid_module._monomial_ybe_residual(cols, values, dim).hex() == residual.hex()
-    assert _tables.tables[key] is walk
-    assert next(reversed(_tables.tables)) == key
+    # a hit returns the kept walk and leaves the entries in build order
+    assert braid_module._monomial_walk(key[1]) is walk
+    assert list(_tables.tables) == order
 
 
 def test_only_monomial_r_is_read_as_a_permutation(monkeypatch):

@@ -125,18 +125,19 @@ def test_cache_holds_at_most_its_byte_bound():
         for i, dims in enumerate(NEAR_CAP_SHAPES):
             newest = _generator_table(dims)
             held = held_shapes()
-            # the most recent shapes, oldest first, the newest always among them
+            # the most recently built shapes, oldest first, the newest always among them
             assert held == NEAR_CAP_SHAPES[i + 1 - len(held):i + 1]
             assert _tables.nbytes == sum(map(sys.getsizeof, _tables.tables.values()))
             assert _tables.nbytes <= TABLE_CACHE_BYTES
         assert _generator_table(NEAR_CAP_SHAPES[-1]) is newest
         # 21.2 + 24.9 + 21.6 MiB pass the bound, so two tables are left
         assert held == [(3, 7, 7, 7), (4, 4, 6, 10)]
-        # a hit makes (3, 7, 7, 7) the most recent, so the next miss evicts the other
-        kept = _generator_table((3, 7, 7, 7))
+        # a hit leaves (3, 7, 7, 7) the oldest built, so the next miss evicts it
+        oldest = _tables.tables[(_generator_table.__wrapped__, (3, 7, 7, 7))]
+        assert _generator_table((3, 7, 7, 7)) is oldest
         _generator_table((10, 11, 11))
-        assert held_shapes() == [(3, 7, 7, 7), (10, 11, 11)]
-        assert _generator_table((3, 7, 7, 7)) is kept
+        assert held_shapes() == [(4, 4, 6, 10), (10, 11, 11)]
+        assert _generator_table((4, 4, 6, 10)) is newest
     finally:
         _tables.clear()
     assert _tables.nbytes == 0

@@ -118,3 +118,37 @@ def test_a_run_that_exits_non_zero_keeps_its_code_and_last_20_stderr_lines(monke
     monkeypatch.setattr(paired_bench.subprocess, "run", fake)
     assert paired_bench.run(".", "w", 1, 1.0) == {
         "exit_code": 2, "stderr_tail": [f"line {i}" for i in range(10, 30)]}
+
+
+@pytest.mark.parametrize("stdout", [
+    "",
+    "warming up\nTraceback: not a result\n",
+    'warming up\n{"correct": true, "failed": 0}\n',
+], ids=["empty", "not-json", "no-metrics"])
+def test_a_run_without_a_result_line_ends_the_series_like_a_failed_one(
+        tmp_path, monkeypatch, capsys, stdout):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(paired_bench.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(paired_bench, "export", lambda ref, dest: None)
+    # seed 1 is one good pair; seed 2 runs the change first, which exits 0
+    # without a result on its last line
+    outputs = iter([json.dumps(result(20.0)), "log\n" + json.dumps(result(18.0)), stdout])
+
+    def fake(cmd, **kwargs):
+        assert "check" not in kwargs
+        return subprocess.CompletedProcess(cmd, 0, stdout=next(outputs), stderr="done\n")
+
+    monkeypatch.setattr(paired_bench.subprocess, "run", fake)
+    argv = ["--parent", "HEAD", "--workload", "w", "--seeds", "1", "2", "3",
+            "--seconds", "1", "--json", "out.json"]
+    assert paired_bench.main(argv) == 1
+    last = stdout.strip().splitlines()[-1] if stdout else ""
+    out = capsys.readouterr().out
+    assert f"seed 2 change: exited 0 with a malformed last line {last!r}" in out
+    assert "w, 1 pairs" in out and "every run correct with no failed operation: False" in out
+    saved = json.loads((tmp_path / "out.json").read_text())
+    assert saved["all_correct"] is False and len(saved["runs"]) == 1
+    assert saved["failed_run"] == {"seed": 2, "side": "change", "exit_code": 0,
+                                   "stderr_tail": ["done"], "malformed": last}
+    assert saved["summary"]["warm_ms"]["change"]["median"] == 18.0

@@ -5,12 +5,15 @@ and gate patterns per size.
 The cache holds at most ``TABLE_CACHE_BYTES`` in all, counting every held
 array's header and data, including the data of an array over ``bytes``,
 which ``sys.getsizeof`` leaves out. Its entries are keyed by builder and key,
-and the least recently used goes first, whichever builder made it.
+and the oldest built goes first, whichever builder made it. A hit takes no
+lock; a miss builds under the lock, so misses wait for one another.
 """
 
 import gc
+import random
 import sys
-from collections import OrderedDict
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ import braidgate.braid as braid_module
 import braidgate.entangler as entangler_module
 import braidgate.segre as segre_module
 from braidgate import construct_entangler, pattern_permutation, phase_gate, random_phases
-from braidgate.tensorops import TABLE_CACHE_BYTES, _TableCache, _tables
+from braidgate.tensorops import TABLE_CACHE_BYTES, _TableCache, _cached, _tables
 
 TABLE = segre_module._generator_table
 WALK = braid_module._monomial_walk
@@ -53,9 +56,9 @@ CALLS = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(st.lists(CALLS, min_size=1, max_size=12))
 def test_every_builder_shares_one_byte_budget(calls):
-    # a model of the cache: each kept entry's bytes by (builder, key), least
-    # recently used first
-    model = OrderedDict()
+    # a model of the cache: each kept entry's bytes by (builder, key), oldest
+    # built first; a hit moves nothing
+    model = {}
     _tables.clear()
     try:
         for build, key in calls:
@@ -64,12 +67,10 @@ def test_every_builder_shares_one_byte_budget(calls):
             arr = build(key)
             assert was is None or arr is was
             assert held_bytes(arr) <= TABLE_CACHE_BYTES
-            if entry in model:
-                model.move_to_end(entry)
-            else:
+            if entry not in model:
                 model[entry] = held_bytes(arr)
                 while sum(model.values()) > TABLE_CACHE_BYTES:
-                    model.popitem(last=False)
+                    del model[next(iter(model))]
             # the newest entry is kept, and the oldest go first whoever built them
             assert list(_tables.tables) == list(model)
             assert _tables.tables[entry] is arr
@@ -136,3 +137,102 @@ def test_patterns_are_held_arrays_shared_by_every_gate_of_one_size():
         assert type(cols.base) is bytes and not cols.flags.writeable
     assert diagonal[0].col_of_row.tolist() == list(range(9))
     assert gates[0].col_of_row.tolist() == [0, 7, 6, 5, 4, 3, 2, 1, 8]
+
+
+def call_in_thread(fn, *args):
+    """A started thread that calls ``fn(*args)`` into the returned list."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args)))
+    thread.start()
+    return thread, out
+
+
+def test_a_hit_takes_no_lock():
+    _tables.clear()
+    try:
+        kept = ENTANGLER(9)
+        with _tables._lock:
+            thread, out = call_in_thread(ENTANGLER, 9)
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert len(out) == 1 and out[0] is kept
+    finally:
+        _tables.clear()
+
+
+def test_a_miss_waits_for_the_lock_and_builds_once():
+    calls = []
+
+    def build(key):
+        calls.append(key)
+        return np.frombuffer(bytes(8 * key), np.int64)
+
+    counting = _cached(build)
+    _tables.clear()
+    try:
+        with _tables._lock:
+            threads = [call_in_thread(counting, 7) for _ in range(2)]
+            for thread, _ in threads:
+                thread.join(timeout=0.2)
+                assert thread.is_alive()
+            assert calls == []
+        for thread, _ in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        # the second miss found the first one's entry once it had the lock
+        assert calls == [7]
+        kept = _tables.tables[(build, 7)]
+        assert all(len(out) == 1 and out[0] is kept for _, out in threads)
+    finally:
+        _tables.clear()
+
+
+def test_threads_hitting_and_missing_keep_the_byte_count_exact():
+    # entries of 10-20 MiB, so a few fill the budget and misses evict; np.zeros
+    # maps pages it never touches, so they cost little memory
+    def size(key):
+        return (10 * 2**20 + key * 2**19) // 8
+
+    building, built, overlapping = [], [], []
+
+    def build(key):
+        building.append(key)
+        if len(building) > 1:
+            overlapping.append(list(building))
+        arr = np.zeros(size(key))
+        arr[0] = key
+        built.append(key)
+        building.remove(key)
+        return arr
+
+    zeros = _cached(build)
+    wrong = []
+
+    def client(seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            key = rng.randrange(12)
+            arr = zeros(key)
+            if arr.size != size(key) or arr[0] != key:
+                wrong.append(key)
+
+    interval = sys.getswitchinterval()
+    _tables.clear()
+    try:
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=client, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 5
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(thread.is_alive() for thread in threads)
+        # misses built one at a time, and some key was built again once evicted
+        assert wrong == [] and overlapping == [] and len(built) > 12
+        assert _tables.nbytes == sum(map(_tables._bytes, _tables.tables.values()))
+        assert 0 < _tables.nbytes <= TABLE_CACHE_BYTES
+        for (builder, key), arr in _tables.tables.items():
+            assert builder is build and arr.size == size(key) and arr[0] == key
+    finally:
+        sys.setswitchinterval(interval)
+        _tables.clear()

@@ -15,10 +15,12 @@ tenths of the pairs and its median is better than the parent's by more than
 the parent's interquartile range. The same summary, with every run's
 metrics, is written as JSON (by default ``.perfbench/paired-W.json``).
 
-A run that exits non-zero ends the series: its exit code and the last 20
-lines of its stderr are printed and kept in the JSON as ``failed_run``, the
-pairs completed before it are summarized with ``all_correct`` false, and the
-tool exits 1.
+A run that exits non-zero, or whose last line of stdout is not a JSON
+result with ``metrics``, ``correct`` and ``failed``, ends the series: its
+exit code and the last 20 lines of its stderr, and for a malformed result
+that last line as ``malformed``, are printed and kept in the JSON as
+``failed_run``, the pairs completed before it are summarized with
+``all_correct`` false, and the tool exits 1.
 
 Stopping the tool while a run is under way can leave a ``perfbench/worker.py``
 running: ``perfbench/run.py`` starts its worker in a session of its own and
@@ -82,14 +84,24 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
 def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its parsed result line, or,
     if it exits non-zero, its ``exit_code`` and ``stderr_tail``, the last 20
-    lines of its stderr."""
+    lines of its stderr. A run that exits 0 without a result, a JSON object
+    with ``metrics``, ``correct`` and ``failed``, on its last line of stdout
+    gives those two and ``malformed``, that line ("" if there is none)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
+    failed = {"exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
     if proc.returncode:
-        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        return failed
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    try:
+        result = json.loads(last)
+    except json.JSONDecodeError:
+        result = None
+    if isinstance(result, dict) and {"metrics", "correct", "failed"} <= result.keys():
+        return result
+    return {**failed, "malformed": last}
 
 
 def export(ref: str, dest: str) -> None:
@@ -121,8 +133,10 @@ def main(argv=None) -> int:
                 result[side] = run(tree, args.workload, seed, args.seconds)
                 if "exit_code" in result[side]:
                     failed = {"seed": seed, "side": side, **result[side]}
-                    print(f"seed {seed} {side}: exited {failed['exit_code']}; its stderr ends:",
-                          *failed["stderr_tail"], sep="\n    ", flush=True)
+                    malformed = (f" with a malformed last line {failed['malformed']!r}"
+                                 if "malformed" in failed else "")
+                    print(f"seed {seed} {side}: exited {failed['exit_code']}{malformed}; "
+                          "its stderr ends:", *failed["stderr_tail"], sep="\n    ", flush=True)
                     break
                 print(f"seed {seed} {side}: " + " ".join(
                     f"{k}={v['value']:.4g}" for k, v in result[side]["metrics"].items()),
