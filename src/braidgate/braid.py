@@ -166,6 +166,10 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
     O(dim**7) multiply-adds and the working set O(dim**5); no dim**3 square
     operator is formed. dim**3 is capped at ``REP_DIM_CAP`` on both paths,
     and an R whose products overflow is an input error.
+
+    A singular R can pass: the zero matrix has residual 0.0. The equation
+    then holds, but R gives no braid-group representation, which needs an
+    invertible R (see :func:`evaluate_braid_word`).
     """
     r, dim = _operator(r, dim)
     _check_strands(dim, 3)
@@ -178,12 +182,17 @@ def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
     :class:`braidgate.entangler.MonomialGateMatrix`) is read as a permutation
     and values. A row without a nonzero holds the value 0, so it may take any
     column that has none; it takes the unused columns in order."""
-    nonzero = r != 0
-    per_row, per_col = nonzero.sum(axis=1), nonzero.sum(axis=0)
-    if (per_row <= 1).all() and (per_col <= 1).all():
-        cols = nonzero.argmax(axis=1)
-        cols[per_row == 0] = np.flatnonzero(per_col == 0)
-        residual = _monomial_ybe_residual(cols, r[np.arange(cols.size), cols], dim)
+    n = r.shape[0]
+    flat = np.flatnonzero(r != 0)
+    rows, cols = np.divmod(flat, n)
+    per_row, per_col = np.bincount(rows, minlength=n), np.bincount(cols, minlength=n)
+    if per_row.max() <= 1 and per_col.max() <= 1:
+        if flat.size < n:
+            full = np.empty(n, np.intp)
+            full[rows] = cols
+            full[per_row == 0] = np.flatnonzero(per_col == 0)
+            cols, flat = full, np.arange(n) * n + full
+        residual = _monomial_ybe_residual(cols, r.reshape(-1)[flat], dim)
     else:
         residual = _dense_ybe_residual(r, dim)
     # an overflow leaves inf or nan here
@@ -196,17 +205,21 @@ def _ybe(r: np.ndarray, dim: int, tol: float) -> YbeReport:
 def _monomial_walk(key: tuple[int, bytes]) -> np.ndarray:
     """The read-only ``(4, 2, dim**3)`` walk of basis rows through both sides
     of the YBE, for ``key = (dim, cols)``, the permutation as intp bytes:
-    ``walk[i, side]`` is the pair index factor i reads on each row, and
-    ``walk[3, side]`` the row's final column. Side 0 is R12 R23 R12 and side
-    1 R23 R12 R23, leftmost factor first. Walks are cached by key, up to
-    256 KiB each at ``dim = 16``."""
+    ``walk[i, side]`` is the pair index factor i reads on each row, side 0
+    being R12 R23 R12 and side 1 R23 R12 R23, leftmost factor first.
+    ``walk[3]`` holds whether the two sides end in the same column, as the
+    two places each row reads in the moduli of ``[vL, vR, vL - vR]``, flat:
+    ``|vL - vR|`` twice where they do, else ``|vL|`` and ``|vR|``. Walks are
+    cached by key, up to 256 KiB each at ``dim = 16``."""
     dim, cols = key[0], np.frombuffer(key[1], np.intp)
+    rows = np.arange(dim**3)
     # s is the place value of the lower of the two digits R acts on
-    x, pairs, s = np.arange(dim**3), [], np.array([[dim], [1]])
+    x, pairs, s = rows, [], np.array([[dim], [1]])
     for _ in range(3):
         pairs.append(x // s % (dim * dim))
         x, s = x + (cols[pairs[-1]] - pairs[-1]) * s, s[::-1]
-    walk = np.stack(pairs + [x])
+    reads = rows + rows.size * np.where(x[0] == x[1], 2, [[0], [1]])
+    walk = np.stack(pairs + [reads])
     walk.setflags(write=False)
     return walk
 
@@ -219,21 +232,19 @@ def _monomial_ybe_residual(cols: np.ndarray, values: np.ndarray, dim: int) -> fl
     one column with one value, so x's residual is ``|vL - vR|`` on one
     column, else ``max(|vL|, |vR|)``. The walk of rows depends on ``cols``
     only (see :func:`_monomial_walk`)."""
-
-    def times(a, b):
-        # parts rounded one product at a time, as in the dense kernel's BLAS
-        # products; numpy's complex product may fuse a*b - c*d
-        return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-
     walk = _monomial_walk((dim, cols.astype(np.intp, copy=False).tobytes()))
     # the values multiply rightmost first, and the last factor's values are
-    # taken as they are, not as products with 1.0
-    steps = values[walk[:3]]
+    # taken as they are, not as products with 1.0; each part is rounded one
+    # product at a time, as in the dense kernel's BLAS products (numpy's
+    # complex product may fuse a*b - c*d)
+    (a, b, c), (ai, bi, ci) = values.real[walk[:3]], values.imag[walk[:3]]
+    v = np.empty((3, dim**3), np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_l, v_r = times(steps[0], times(steps[1], steps[2]))
-        worst = np.where(walk[3, 0] == walk[3, 1], np.abs(v_l - v_r),
-                         np.maximum(np.abs(v_l), np.abs(v_r)))
-    return float(np.max(worst))
+        bc, bci = b * c - bi * ci, b * ci + bi * c
+        v.real[:2] = a * bc - ai * bci
+        v.imag[:2] = a * bci + ai * bc
+        np.subtract(v[0], v[1], out=v[2])
+        return float(np.abs(v.take(walk[3])).max())
 
 
 def _dense_ybe_residual(r: np.ndarray, dim: int) -> float:
@@ -333,6 +344,10 @@ def check_braid_relations(
     which keep the largest absolute entry, so it carries the
     :func:`check_yang_baxter` residual. ``REP_DIM_CAP`` caps dim**n_strands,
     and with it the YBE check and the number of relations reported.
+
+    A singular R can pass, the zero matrix with every residual 0.0: the
+    relations then hold as equations, but R gives no braid-group
+    representation, which needs an invertible R.
     """
     r, dim = _operator(r, dim)
     n_strands = _as_int(n_strands, "n_strands")

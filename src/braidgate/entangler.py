@@ -237,17 +237,15 @@ def certify_entangler(
     unitary_tol, separability_tol = _as_tol(unitary_tol), _as_tol(separability_tol)
     values = _row_values(tensor, convention)
     with np.errstate(over="ignore"):  # a value too large to square is inf away from 1
-        residual = float(np.max(np.abs(values.real**2 + values.imag**2 - 1.0)))
+        squares = np.square(values.view(np.float64))
+        moduli = squares[0::2] + squares[1::2]
+    moduli -= 1.0
+    residual = float(np.abs(moduli, out=moduli).max())
     coefficient_verdict = _verdict(tensor, separability_tol)
     if convention is Convention.THEOREM:
         entangling = coefficient_verdict
     else:
         entangling = _verdict(_trusted(CoefficientTensor, dims=tensor.dims, entries=values),
                               separability_tol)
-    return EntanglerReport(
-        convention=convention,
-        unitary=residual <= unitary_tol,
-        unitarity_residual=residual,
-        entangling=entangling,
-        coefficient_verdict=coefficient_verdict,
-    )
+    return EntanglerReport(convention, residual <= unitary_tol, residual, entangling,
+                           coefficient_verdict)

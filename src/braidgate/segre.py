@@ -207,25 +207,26 @@ def _generator_table(dims: tuple[int, ...]) -> np.ndarray:
 
 
 def _generator_at(dims: tuple[int, ...], i: int) -> QuadricGenerator:
-    """Generator ``i`` of :func:`_generator_table`; its slot is the one digit
-    where ``k`` and ``kp`` differ.
+    """Generator ``i`` of :func:`_generator_table`. Only ``k`` and ``l`` are
+    decoded: ``kp`` is ``k`` with ``l``'s digit at the slot ``j``, so ``kp - k
+    = (l_j - k_j) * place_j``, and slot ``j`` is the one with ``place_j <= kp
+    - k < place_{j-1}``, the place value of the slot before it.
 
     The table holds canonical generators only, so the constructor's checks
     are skipped: they would cost more than the rest of a small verdict.
     """
-    ka, la, kp, _ = _generator_table(dims)
-    k, l, kpd = (_digits(int(flat[i]), dims) for flat in (ka, la, kp))
-    slot = next(p for p, (x, y) in enumerate(zip(k, kpd), start=1) if x != y)
-    return _trusted(QuadricGenerator, slot=slot, k=k, l=l, dims=dims)
-
-
-def _digits(flat: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    """The 1-based multi-index of the 0-based lex index ``flat``."""
-    out = []
+    k, l, kp = _generator_table(dims)[:3, i].tolist()
+    gap, slot, place, k_digits, l_digits = kp - k, len(dims), 1, [], []
     for d in reversed(dims):
-        flat, digit = divmod(flat, d)
-        out.append(digit + 1)
-    return tuple(reversed(out))
+        k, x = divmod(k, d)
+        l, y = divmod(l, d)
+        k_digits.append(x + 1)
+        l_digits.append(y + 1)
+        place *= d
+        if place <= gap:  # the slot is an earlier one
+            slot -= 1
+    return _trusted(QuadricGenerator, slot=slot, k=tuple(reversed(k_digits)),
+                    l=tuple(reversed(l_digits)), dims=dims)
 
 
 def quadric_generators(dims) -> tuple[QuadricGenerator, ...]:

@@ -340,11 +340,18 @@ def kron(a, b) -> np.ndarray:
 def is_unitary(a, tol: float = 1e-12) -> tuple[bool, float]:
     """Whether ``a`` is unitary within ``tol``; returns (flag, residual).
 
-    The residual is the max-abs entry of ``a^H a - I``; overflow there is an input error.
+    The residual is the max-abs entry of ``a^H a - I``; overflow there is an
+    input error. An ``n * n`` above ``TENSOR_SIZE_CAP`` is a
+    :class:`ResourceLimitError`, refused before an array input is copied.
     """
-    a = _as_array(a, "matrix", 2)
+    if not (isinstance(a, np.ndarray) and a.ndim == 2):
+        a = _as_array(a, "matrix", 2)
     if a.shape[0] != a.shape[1] or not a.size:
         raise InputError(f"unitarity check needs a nonempty square matrix, got {a.shape}")
+    if a.size > TENSOR_SIZE_CAP:
+        raise ResourceLimitError(f"unitarity check of size {a.shape[0]}x{a.shape[1]} exceeds "
+                                 f"cap {TENSOR_SIZE_CAP} entries")
+    a = _as_array(a, "matrix")
     tol = _as_tol(tol)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))

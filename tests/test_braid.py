@@ -525,6 +525,46 @@ def test_cached_walk_keeps_every_residual_bit(dim, random, kind, seed):
     assert list(_tables.tables) == order
 
 
+def monomial_values(n):
+    # parts of either sign of zero or up to 2 in size, each value scaled by
+    # 1e-100, 1 or 1e100: every three-factor product stays finite
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+    value = st.tuples(part, part, st.sampled_from([1e-100, 1.0, 1e100])).map(
+        lambda p: complex(p[0] * p[2], p[1] * p[2]))
+    return st.lists(value, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.complex128))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.permutations(range(d * d)), monomial_values(d * d))))
+def test_residual_parts_keep_the_bits_of_the_complex_times_products(case):
+    # the residual's products are taken on the real and imaginary parts;
+    # the reference builds each product as a complex value, as before
+    dim, perm, values = case
+    cols = np.array(perm, dtype=np.intp)
+    got = braid_module._monomial_ybe_residual(cols, values, dim)
+    assert got.hex() == uncached_monomial_ybe_residual(cols, values, dim).hex()
+
+
+def test_empty_rows_take_the_unused_columns_in_order(monkeypatch):
+    seen = []
+
+    def core(cols, values, dim, _core=braid_module._monomial_ybe_residual):
+        seen.append((cols.tolist(), values.tolist()))
+        return _core(cols, values, dim)
+
+    monkeypatch.setattr(braid_module, "_monomial_ybe_residual", core)
+    r = np.zeros((9, 9), dtype=np.complex128)
+    r[1, 7], r[4, 0], r[8, 4] = 2.0, 1j, -3.0
+    r[0, 3] = complex(-0.0, -0.0)  # a negative zero is no nonzero
+    check_yang_baxter(r, 3)
+    check_yang_baxter(np.zeros((9, 9)), 3)
+    # rows 0, 2, 3, 5, 6 and 7 are empty, and columns 1, 2, 3, 5, 6 and 8 unused
+    assert seen[0] == ([1, 7, 2, 3, 0, 5, 6, 8, 4], [0, 2, 0, 0, 1j, 0, 0, 0, -3])
+    assert seen[1] == (list(range(9)), [0] * 9)
+
+
 def test_only_monomial_r_is_read_as_a_permutation(monkeypatch):
     taken = []
     for name in ("_monomial_ybe_residual", "_dense_ybe_residual"):
@@ -659,6 +699,19 @@ def peak_of(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def test_a_singular_r_passes_as_equations_but_has_no_inverse():
+    # the zero matrix solves the YBE and every Artin relation as equations;
+    # a braid-group representation needs R^-1, which it has not
+    zero = np.zeros((4, 4))
+    report = check_yang_baxter(zero, 2)
+    assert report.residual == 0.0 and report.passed
+    relations = check_braid_relations(zero, 2, 5)
+    assert relations.passed and relations.max_residual == 0.0
+    assert {c.kind for c in relations.checks} == {"braid", "far_commutation"}
+    with pytest.raises(InputError, match="^R is singular"):
+        evaluate_braid_word(BraidWord(3, (1, -2)), zero, 2)
 
 
 def test_overflowing_products_are_an_input_error():

@@ -33,7 +33,7 @@ from braidgate import (
     random_phases,
     segre_map,
 )
-from braidgate.segre import _generator_at, _generator_table
+from braidgate.segre import _generator_at, _generator_table, _slot_sizes
 
 # the shapes of the benchmark's gates workload
 GATE_SHAPES = [(2, 2), (3, 3), (4, 4), (6, 6), (2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5),
@@ -124,6 +124,33 @@ def test_witnesses_equal_their_checked_builds(dims):
         gen, ref = _generator_at(dims, i), checked_generator(dims, i)
         # repr also tells a numpy integer from an int
         assert gen == ref and repr(gen) == repr(ref)
+
+
+def slot_boundaries(dims):
+    """The first and last index of each slot's block of generators, and of
+    each digit pair's block within it, where ``kp - k`` takes its least and
+    largest values at the slot."""
+    out, start = set(), 0
+    for digit_pairs, rest_pairs in _slot_sizes(dims):
+        for _ in range(digit_pairs * bool(rest_pairs)):
+            out |= {start, start + rest_pairs - 1}
+            start += rest_pairs
+    return sorted(out)
+
+
+@pytest.mark.parametrize("dims", [(2,) * 8, (3,) * 5, (1, 3, 2), (2, 1, 3, 2)], ids=str)
+def test_witness_slots_at_every_slot_boundary(dims):
+    # the slot is read from kp - k against the place values; a slot of size
+    # 1 shares its place value with the next and holds no generator
+    count = _generator_table(dims)[0].size
+    indices = slot_boundaries(dims) if count > 64 else range(count)
+    slots = set()
+    for i in indices:
+        gen, ref = _generator_at(dims, i), checked_generator(dims, i)
+        assert gen == ref and repr(gen) == repr(ref)
+        slots.add(gen.slot)
+    assert slots == {j for j, (pairs, rest) in enumerate(_slot_sizes(dims), start=1)
+                     if pairs * rest}
 
 
 def test_quadric_generators_are_the_checked_builds():

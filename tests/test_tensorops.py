@@ -216,6 +216,28 @@ def test_is_unitary():
         is_unitary(np.ones((2, 3)))
 
 
+def test_unitarity_checks_above_the_tensor_cap_are_refused_before_copying():
+    # the check copied its input and formed the n x n product: 128 MiB at
+    # n = 2048, and 256 MiB more per copy at the cap
+    big = np.broadcast_to(np.complex128(0), (4097, 4097))
+    for call in (lambda: is_unitary(big), lambda: is_unitary(np.broadcast_to(1.0, (5000, 5000)))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"^unitarity check of size \d+x\d+ "
+                                                         r"exceeds cap 16777216 entries$"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    # the shape is read before the cap; any other input is checked as before
+    with pytest.raises(InputError, match="^matrix must be two-dimensional"):
+        is_unitary(np.broadcast_to(1.0, (4097, 4097, 1)))
+    with pytest.raises(InputError, match="^unitarity check needs a nonempty square matrix"):
+        is_unitary(np.broadcast_to(1.0, (4097, 4098)))
+    assert is_unitary([[0, 1], [1, 0]]) == (True, 0.0)
+
+
 def test_monomial_pattern_with_unimodular_values_is_unitary():
     rng = np.random.default_rng(10)
     n = 9
