@@ -31,10 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .tensorops import _as_array, _as_int, _as_ints, _as_tol, _cached, _check_type, _hold
+from .tensorops import TENSOR_SIZE_CAP, _as_array, _as_int, _as_ints, _as_tol, _cached
+from .tensorops import _check_entries, _check_type, _hold
 
-# Strand representations (R itself on 2 strands) are capped at this size.
-REP_DIM_CAP = 4096
+# A representation of dim**n_strands rows holds dim**(2 n_strands) entries,
+# so at most 4096 rows; more strands than 4096's bit length (13) are too many
+# for any dim >= 2 and bound the report of dim 1.
+_MAX_STRANDS = math.isqrt(TENSOR_SIZE_CAP).bit_length()
 
 DEFAULT_YBE_TOL = 1e-12
 
@@ -102,15 +105,19 @@ def _operator(r, dim: int | None) -> tuple[np.ndarray, int]:
 def _check_strands(dim: int, n_strands: int) -> int:
     """The size dim**n_strands of the representation on ``n_strands`` strands,
     for counts already read as ints. Fewer than 2 strands is an
-    :class:`InputError`, and a size above ``REP_DIM_CAP`` is a
-    :class:`ResourceLimitError`. More than ``REP_DIM_CAP.bit_length()``
-    strands (too many for any dim >= 2, and the bound for dim 1) are refused
-    before dim**n_strands is computed."""
+    :class:`InputError`, and a representation over ``TENSOR_SIZE_CAP``
+    entries is a :class:`ResourceLimitError`. More than ``_MAX_STRANDS``
+    strands are refused before dim**n_strands is computed; at dim 1 that is
+    a refusal of the strand count alone."""
     if n_strands < 2:
         raise InputError("need at least 2 strands")
-    if n_strands > REP_DIM_CAP.bit_length() or dim**n_strands > REP_DIM_CAP:
-        raise ResourceLimitError(f"representation size {dim}**{n_strands} exceeds cap {REP_DIM_CAP}")
-    return dim**n_strands
+    if n_strands > _MAX_STRANDS:
+        what = (f"representation size {dim}**{n_strands}" if dim > 1
+                else f"representation on {n_strands} strands")
+        raise ResourceLimitError(f"{what} exceeds the limit of {_MAX_STRANDS} strands")
+    size = dim**n_strands
+    _check_entries(size * size, f"representation size {dim}**{n_strands}")
+    return size
 
 
 def r_from_phase_matrix(phases) -> np.ndarray:
@@ -119,13 +126,14 @@ def r_from_phase_matrix(phases) -> np.ndarray:
     Row (k,l) holds M[k,l] at column (l,k). For any complex matrix M the
     result solves the braided Yang-Baxter equation; it is unitary exactly
     when every entry of M is unimodular. A phase matrix above the 2-strand cap
-    is refused before it is converted, so an oversized array is not copied.
+    (64 x 64) is refused before an array input is copied; any other input is
+    converted once.
     """
     m = phases if isinstance(phases, np.ndarray) else _as_array(phases, "phase matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise InputError(f"phase matrix must be square and nonempty, got shape {m.shape}")
     _check_strands(m.shape[0], 2)
-    return _phase_swap(_as_array(m, "phase matrix"))
+    return _phase_swap(_as_array(m, "phase matrix") if m is phases else m)
 
 
 def _phase_swap(m: np.ndarray) -> np.ndarray:
@@ -164,8 +172,9 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
     each side is read from R's entries and the second contracts one strand
     index; only the last is a full strand-local product. That costs 2 dim**8 +
     O(dim**7) multiply-adds and the working set O(dim**5); no dim**3 square
-    operator is formed. dim**3 is capped at ``REP_DIM_CAP`` on both paths,
-    and an R whose products overflow is an input error.
+    operator is formed. dim**3 is capped at 4096 rows (``TENSOR_SIZE_CAP``
+    entries) on both paths, and an R whose products overflow is an input
+    error.
 
     A singular R can pass: the zero matrix has residual 0.0. The equation
     then holds, but R gives no braid-group representation, which needs an
@@ -342,8 +351,9 @@ def check_braid_relations(
     R since the supports are disjoint. Each braid relation
     b_i b_{i+1} b_i = b_{i+1} b_i b_{i+1} is the YBE padded with identities,
     which keep the largest absolute entry, so it carries the
-    :func:`check_yang_baxter` residual. ``REP_DIM_CAP`` caps dim**n_strands,
-    and with it the YBE check and the number of relations reported.
+    :func:`check_yang_baxter` residual. dim**n_strands is capped at 4096
+    rows (``TENSOR_SIZE_CAP`` entries) and n_strands at 13, and with them the
+    YBE check and the number of relations reported.
 
     A singular R can pass, the zero matrix with every residual 0.0: the
     relations then hold as equations, but R gives no braid-group

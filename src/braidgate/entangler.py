@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .segre import DEFAULT_SEPARABILITY_TOL, SeparabilityVerdict, _verdict
-from .tensorops import TENSOR_SIZE_CAP, CoefficientTensor, StateVector, _as_array, _as_int
-from .tensorops import _as_ints, _as_tol, _cached, _check_type, _hold, _trusted
+from .tensorops import CoefficientTensor, StateVector, _as_array, _as_int, _as_ints, _as_tol
+from .tensorops import _cached, _check_entries, _check_type, _hold, _trusted
 
 
 class Convention(str, enum.Enum):
@@ -102,9 +102,7 @@ class MonomialGateMatrix:
     def dense(self) -> np.ndarray:
         """R as a dense matrix; an ``n * n`` above ``TENSOR_SIZE_CAP`` is a
         :class:`ResourceLimitError`, refused before anything is allocated."""
-        if self.n * self.n > TENSOR_SIZE_CAP:
-            raise ResourceLimitError(f"dense gate of size {self.n}x{self.n} exceeds cap "
-                                     f"{TENSOR_SIZE_CAP} entries")
+        _check_entries(self.n * self.n, f"dense gate of size {self.n}x{self.n}")
         out = np.zeros((self.n, self.n), dtype=np.complex128)
         out[np.arange(self.n), self.col_of_row] = self.value_of_row
         return out
@@ -167,8 +165,7 @@ def pattern_permutation(n: int) -> MonomialGateMatrix:
     n = _as_int(n, "n")
     if n < 2:
         raise InputError("pattern permutation needs n >= 2")
-    if n > TENSOR_SIZE_CAP:
-        raise ResourceLimitError(f"pattern permutation of size {n} exceeds cap {TENSOR_SIZE_CAP}")
+    _check_entries(n, f"pattern permutation of size {n}")
     return _trusted(MonomialGateMatrix, n=n, col_of_row=_entangler_pattern(n),
                     value_of_row=np.ones(n, dtype=np.complex128))
 

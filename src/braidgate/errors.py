@@ -6,6 +6,7 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed one of the size caps, each a module constant
-    (``REP_DIM_CAP``, ``KRON_DIM_CAP``, ``TENSOR_SIZE_CAP``, ``GENERATOR_CAP``),
-    and is refused before its large allocation."""
+    """An operation would exceed one of the two size caps and is refused
+    before its large allocation: ``tensorops.TENSOR_SIZE_CAP`` entries for
+    every array sized from the arguments, and ``segre.GENERATOR_CAP``
+    generators for the separability scan and the generator listing."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .tensorops import CoefficientTensor, _as_array, _as_dims, _as_int, _as_tol, _check_type
-from .tensorops import _MAX_AXES, _cached, _check_digits, _check_size, _hold, _trusted
+from .tensorops import _MAX_AXES, _cached, _check_digits, _check_entries, _hold, _trusted
 
 # Verdicts whose normalized residual lands in this open band are flagged as
 # marginal: classification still uses the caller's hard threshold.
@@ -439,7 +439,8 @@ def segre_map(factors) -> CoefficientTensor:
     for pos, v in enumerate(vecs, start=1):
         if not np.any(v):
             raise InputError(f"factor {pos} is {'zero' if v.size else 'empty'}; not a projective point")
-    _check_size(tuple(v.size for v in vecs))
+    dims = tuple(v.size for v in vecs)
+    _check_entries(math.prod(dims), f"tensor of dims {dims}")
     if len(vecs) > _MAX_AXES:
         raise InputError(f"{len(vecs)} factors exceed numpy's {_MAX_AXES} axes")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -28,10 +28,8 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 
-# Dense Kronecker products beyond this row/column count are refused.
-KRON_DIM_CAP = 10_000
-
-# Tensors drawn or multiplied out beyond this many entries (256 MiB of complex128) are refused.
+# Every array sized from the arguments holds at most this many entries (256 MiB
+# of complex128); a larger one is refused by _check_entries before it is built.
 TENSOR_SIZE_CAP = 2**24
 
 # numpy's limit on an array's axes: a tensor of more slots has no array form.
@@ -77,10 +75,12 @@ def _as_dims(dims) -> tuple[int, ...]:
     return out
 
 
-def _check_size(dims: tuple[int, ...]) -> None:
-    """Refuse a tensor of ``dims`` over ``TENSOR_SIZE_CAP`` entries, before it is built."""
-    if math.prod(dims) > TENSOR_SIZE_CAP:
-        raise ResourceLimitError(f"tensor of dims {dims} exceeds cap {TENSOR_SIZE_CAP} entries")
+def _check_entries(count: int, what: str) -> None:
+    """Refuse ``what``, an array of ``count`` entries, over ``TENSOR_SIZE_CAP``
+    entries with :class:`ResourceLimitError`, before anything is allocated.
+    Every refusal sized in entries is this one."""
+    if count > TENSOR_SIZE_CAP:
+        raise ResourceLimitError(f"{what} exceeds cap {TENSOR_SIZE_CAP} entries")
 
 
 def _as_array(value, name: str, ndim: int | None = None) -> np.ndarray:
@@ -299,7 +299,7 @@ def random_phases(dims, seed: int) -> CoefficientTensor:
     if seed < 0:
         raise InputError("seed must be a non-negative integer")
     dims = _as_dims(dims)
-    _check_size(dims)
+    _check_entries(math.prod(dims), f"tensor of dims {dims}")
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, math.prod(dims))
     return _trusted(CoefficientTensor, dims=dims, entries=np.exp(1j * theta))
 
@@ -323,13 +323,13 @@ class StateVector:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two dense matrices, size-capped; overflow is an input error."""
+    """Kronecker product of two dense matrices; a result over ``TENSOR_SIZE_CAP``
+    entries is refused, and overflow is an input error."""
     a = _as_array(a, "left factor", 2)
     b = _as_array(b, "right factor", 2)
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if rows > KRON_DIM_CAP or cols > KRON_DIM_CAP:
-        raise ResourceLimitError(f"kron result {rows}x{cols} exceeds cap {KRON_DIM_CAP}x{KRON_DIM_CAP}")
+    _check_entries(rows * cols, f"kron result {rows}x{cols}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.kron(a, b)
     if not np.isfinite(out).all():
@@ -342,16 +342,14 @@ def is_unitary(a, tol: float = 1e-12) -> tuple[bool, float]:
 
     The residual is the max-abs entry of ``a^H a - I``; overflow there is an
     input error. An ``n * n`` above ``TENSOR_SIZE_CAP`` is a
-    :class:`ResourceLimitError`, refused before an array input is copied.
+    :class:`ResourceLimitError`, refused before an array input is copied;
+    any other input is converted once.
     """
-    if not (isinstance(a, np.ndarray) and a.ndim == 2):
-        a = _as_array(a, "matrix", 2)
-    if a.shape[0] != a.shape[1] or not a.size:
-        raise InputError(f"unitarity check needs a nonempty square matrix, got {a.shape}")
-    if a.size > TENSOR_SIZE_CAP:
-        raise ResourceLimitError(f"unitarity check of size {a.shape[0]}x{a.shape[1]} exceeds "
-                                 f"cap {TENSOR_SIZE_CAP} entries")
-    a = _as_array(a, "matrix")
+    m = a if isinstance(a, np.ndarray) and a.ndim == 2 else _as_array(a, "matrix", 2)
+    if m.shape[0] != m.shape[1] or not m.size:
+        raise InputError(f"unitarity check needs a nonempty square matrix, got {m.shape}")
+    _check_entries(m.size, f"unitarity check of size {m.shape[0]}x{m.shape[1]}")
+    a = _as_array(a, "matrix") if m is a else m
     tol = _as_tol(tol)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))

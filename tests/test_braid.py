@@ -744,17 +744,21 @@ def test_strand_count_is_bounded_for_dimension_one():
     for strands in (1, 0, -3):
         with pytest.raises(InputError, match="^need at least 2 strands$"):
             check_braid_relations(one, 1, strands)
-    for call in (
-        lambda: check_braid_relations(one, 1, 14),
-        lambda: check_braid_relations(one, 1, 3000),
-        lambda: evaluate_braid_word(BraidWord(14, (1,)), one, 1),
+    # a 1x1 R's representation has one entry: the refusal is of the strand count
+    for strands, call in (
+        (14, lambda: check_braid_relations(one, 1, 14)),
+        (3000, lambda: check_braid_relations(one, 1, 3000)),
+        (14, lambda: evaluate_braid_word(BraidWord(14, (1,)), one, 1)),
     ):
-        with pytest.raises(ResourceLimitError, match=r"^representation size 1\*\*\d+ exceeds cap"):
+        with pytest.raises(ResourceLimitError, match=rf"^representation on {strands} strands "
+                                                     r"exceeds the limit of 13 strands$"):
             call()
     # the message names the size without computing it
-    with pytest.raises(ResourceLimitError, match=r"^representation size 3\*\*10000 exceeds"):
+    with pytest.raises(ResourceLimitError, match=r"^representation size 3\*\*10000 exceeds "
+                                                 r"the limit of 13 strands$"):
         check_braid_relations(swap(3), 3, 10000)
-    with pytest.raises(ResourceLimitError, match=r"^representation size 17\*\*3 exceeds cap 4096$"):
+    with pytest.raises(ResourceLimitError, match=r"^representation size 17\*\*3 exceeds "
+                                                 r"cap 16777216 entries$"):
         check_yang_baxter(np.eye(17 * 17), 17)
 
 

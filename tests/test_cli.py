@@ -619,7 +619,7 @@ def test_braid_command_bounds_the_strands_of_a_one_by_one_r(tmp_path, capsys):
     assert code == 0 and len(json.loads(out)["relations"]) == 66
     code, out, err = run_cli(capsys, "braid", "--input", path, "--strands", "14")
     assert code == 2 and out == ""
-    assert err == "error: representation size 1**14 exceeds cap 4096\n"
+    assert err == "error: representation on 14 strands exceeds the limit of 13 strands\n"
 
 
 def test_overflowing_r_exits_two_without_numpy_warnings(tmp_path):

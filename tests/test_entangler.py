@@ -32,6 +32,7 @@ from braidgate import (
     segre_map,
 )
 from braidgate.serialize import tensor_to_payload
+from braidgate.tensorops import TENSOR_SIZE_CAP
 
 MARKERS_9 = CoefficientTensor((3, 3), np.arange(1, 10))
 
@@ -117,10 +118,11 @@ def test_pattern_permutation_matches_swap_pattern():
 
 def test_oversized_pattern_permutations_are_refused_before_allocating():
     # 2**40 rows once reached numpy, which raised a bare MemoryError for 8 TiB
-    for n in (2**40, entangler_module.TENSOR_SIZE_CAP + 1):
+    for n in (2**40, TENSOR_SIZE_CAP + 1):
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match=rf"^pattern permutation of size {n} "):
+            with pytest.raises(ResourceLimitError,
+                               match=rf"^pattern permutation of size {n} exceeds cap 16777216 entries$"):
                 pattern_permutation(n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -142,7 +144,7 @@ def test_dense_gates_over_the_tensor_cap_are_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert 4096**2 == entangler_module.TENSOR_SIZE_CAP
+    assert 4096**2 == TENSOR_SIZE_CAP
 
 
 def test_conventions_are_read_from_their_tokens():

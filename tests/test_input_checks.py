@@ -285,6 +285,24 @@ def test_arrays_numpy_cannot_read_as_numbers_are_input_errors(name, bad):
         ARRAY_CALLS[name](UNREADABLE[bad])
 
 
+@pytest.mark.parametrize("kind", ["list", "ndarray"])
+@pytest.mark.parametrize("call", [is_unitary, r_from_phase_matrix], ids=lambda f: f.__name__)
+def test_an_array_argument_is_converted_once(monkeypatch, call, kind):
+    # a list went through _as_array twice, each pass a conversion and a
+    # finiteness check; an ndarray is converted once it is within the cap
+    seen, as_array = [], tensorops_module._as_array
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return as_array(*args, **kwargs)
+
+    for module in (tensorops_module, braid_module):
+        monkeypatch.setattr(module, "_as_array", counting)
+    arg = np.eye(4) if kind == "ndarray" else np.eye(4).tolist()
+    call(arg)
+    assert len(seen) == 1 and seen[0] is arg
+
+
 GEN = QuadricGenerator(1, (1, 1), (2, 2), (2, 2))
 # a tuple, list or array where a package type belongs once raised AttributeError
 TYPED_CALLS = {

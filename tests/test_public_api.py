@@ -46,8 +46,8 @@ def test_public_api_is_the_names_callers_use():
 
 
 def test_exported_names_resolve_and_take_no_cap_parameter():
-    # caps are module constants (REP_DIM_CAP, KRON_DIM_CAP, TENSOR_SIZE_CAP,
-    # GENERATOR_CAP): every public call is bounded the same way for every caller
+    # the two caps are module constants (TENSOR_SIZE_CAP, GENERATOR_CAP): every
+    # public call is bounded the same way for every caller
     takes_a_cap = []
     for name in braidgate.__all__:
         obj = getattr(braidgate, name)
