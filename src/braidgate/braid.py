@@ -18,9 +18,9 @@ middle axis of the reshaped operand, and the padded operator I (x) R (x) I
 is never built. The Artin relation and algebraic checks reduce to this one
 residual. Generators of the n-strand braid group act by R on adjacent
 factor pairs, and braid words are multiplied out letter by letter by the
-same product with R's transpose on the right. Each public call checks R,
-the strand count and the tolerance once; the private cores behind it take
-checked inputs.
+same product with R's transpose on the right. Each public call checks R
+with the strand count, by R's shape before R is converted, and the
+tolerance, once; the private cores behind it take checked inputs.
 """
 
 from __future__ import annotations
@@ -91,20 +91,26 @@ class BraidRelationReport:
         return max((c.residual for c in self.checks), default=0.0)
 
 
-def _operator(r, dim: int | None) -> tuple[np.ndarray, int]:
-    """R as a finite complex dim**2 square matrix; dim is inferred when None."""
-    r = _as_array(r, "R", 2)
-    if r.shape[0] != r.shape[1]:
-        raise InputError(f"R must be square, got {r.shape}")
-    dim = math.isqrt(r.shape[0]) if dim is None else _as_int(dim, "dim")
-    if dim < 1 or dim * dim != r.shape[0]:
-        raise InputError(f"matrix size {r.shape[0]} is not dim^2 for dim={dim}")
-    return r, dim
+def _operator(r, dim: int | None, n_strands: int) -> tuple[np.ndarray, int]:
+    """R as a finite complex dim**2 square matrix, and dim, inferred when
+    None. R is refused by its shape, with the representation on
+    ``n_strands`` strands (see :func:`_check_strands`), before it is
+    converted."""
+    def check(shape):
+        if shape[0] != shape[1]:
+            raise InputError(f"R must be square, got {shape}")
+        d = math.isqrt(shape[0]) if dim is None else _as_int(dim, "dim")
+        if d < 1 or d * d != shape[0]:
+            raise InputError(f"matrix size {shape[0]} is not dim^2 for dim={d}")
+        _check_strands(d, n_strands)
+
+    r = _as_array(r, "R", 2, check)
+    return r, math.isqrt(r.shape[0])
 
 
-def _check_strands(dim: int, n_strands: int) -> int:
-    """The size dim**n_strands of the representation on ``n_strands`` strands,
-    for counts already read as ints. Fewer than 2 strands is an
+def _check_strands(dim: int, n_strands: int) -> None:
+    """Check the representation on ``n_strands`` strands of dim**n_strands
+    rows, for counts already read as ints. Fewer than 2 strands is an
     :class:`InputError`, and a representation over ``TENSOR_SIZE_CAP``
     entries is a :class:`ResourceLimitError`. More than ``_MAX_STRANDS``
     strands are refused before dim**n_strands is computed; at dim 1 that is
@@ -115,9 +121,7 @@ def _check_strands(dim: int, n_strands: int) -> int:
         what = (f"representation size {dim}**{n_strands}" if dim > 1
                 else f"representation on {n_strands} strands")
         raise ResourceLimitError(f"{what} exceeds the limit of {_MAX_STRANDS} strands")
-    size = dim**n_strands
-    _check_entries(size * size, f"representation size {dim}**{n_strands}")
-    return size
+    _check_entries(dim ** (2 * n_strands), "representation size {}**{}", dim, n_strands)
 
 
 def r_from_phase_matrix(phases) -> np.ndarray:
@@ -126,14 +130,15 @@ def r_from_phase_matrix(phases) -> np.ndarray:
     Row (k,l) holds M[k,l] at column (l,k). For any complex matrix M the
     result solves the braided Yang-Baxter equation; it is unitary exactly
     when every entry of M is unimodular. A phase matrix above the 2-strand cap
-    (64 x 64) is refused before an array input is copied; any other input is
-    converted once.
+    (64 x 64) is refused before an array input is copied.
     """
-    m = phases if isinstance(phases, np.ndarray) else _as_array(phases, "phase matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-        raise InputError(f"phase matrix must be square and nonempty, got shape {m.shape}")
-    _check_strands(m.shape[0], 2)
-    return _phase_swap(_as_array(m, "phase matrix") if m is phases else m)
+    return _phase_swap(_as_array(phases, "phase matrix", check=_check_phases))
+
+
+def _check_phases(shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise InputError(f"phase matrix must be square and nonempty, got shape {shape}")
+    _check_strands(shape[0], 2)
 
 
 def _phase_swap(m: np.ndarray) -> np.ndarray:
@@ -180,8 +185,7 @@ def check_yang_baxter(r, dim: int | None = None, tol: float = DEFAULT_YBE_TOL) -
     then holds, but R gives no braid-group representation, which needs an
     invertible R (see :func:`evaluate_braid_word`).
     """
-    r, dim = _operator(r, dim)
-    _check_strands(dim, 3)
+    r, dim = _operator(r, dim, 3)
     return _ybe(r, dim, _as_tol(tol))
 
 
@@ -289,8 +293,9 @@ def _swap_rows(m: np.ndarray, dim: int) -> np.ndarray:
 
 
 def to_algebraic(r, dim: int | None = None) -> np.ndarray:
-    """Compose with the flat crossing: returns swap @ R."""
-    return _swap_rows(*_operator(r, dim))
+    """Compose with the flat crossing: returns swap @ R, which has R's size:
+    dim**2 rows, at most 4096 (``TENSOR_SIZE_CAP`` entries)."""
+    return _swap_rows(*_operator(r, dim, 2))
 
 
 def check_algebraic_yang_baxter(
@@ -302,8 +307,7 @@ def check_algebraic_yang_baxter(
     satisfy it, beyond the classical fact that a braided solution composed
     with the swap does.
     """
-    x, dim = _operator(x, dim)
-    _check_strands(dim, 3)
+    x, dim = _operator(x, dim, 3)
     # X12 X13 X23 - X23 X13 X12 = P13 (R12 R23 R12 - R23 R12 R23) for R = P X,
     # and a permutation keeps the largest absolute entry.
     return _ybe(_swap_rows(x, dim), dim, _as_tol(tol))
@@ -321,8 +325,8 @@ def evaluate_braid_word(word: BraidWord, r, dim: int) -> np.ndarray:
     and so is a word that is not a :class:`BraidWord`.
     """
     _check_type(word, BraidWord, "word")
-    r, dim = _operator(r, dim)
-    total = _check_strands(dim, word.n_strands)
+    r, dim = _operator(r, dim, word.n_strands)
+    total = dim**word.n_strands
     r_inv = None
     if any(x < 0 for x in word.letters):
         try:
@@ -359,9 +363,8 @@ def check_braid_relations(
     relations then hold as equations, but R gives no braid-group
     representation, which needs an invertible R.
     """
-    r, dim = _operator(r, dim)
     n_strands = _as_int(n_strands, "n_strands")
-    _check_strands(dim, n_strands)
+    r, dim = _operator(r, dim, n_strands)
     return _relations(r, dim, n_strands, _as_tol(tol))
 
 

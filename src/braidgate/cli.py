@@ -65,9 +65,7 @@ def _resolve_r_source(args, n_strands: int) -> tuple[np.ndarray, int]:
         gate = construct_entangler(tensor, args.convention)
         _check_strands(tensor.dims[0], n_strands)
         return gate.dense(), tensor.dims[0]
-    r, dim = _operator(serialize.matrix_from_payload(payload), None)
-    _check_strands(dim, n_strands)
-    return r, dim
+    return _operator(serialize.matrix_from_payload(payload), None, n_strands)
 
 
 def _cmd_construct(args) -> tuple[dict, int]:

@@ -63,7 +63,9 @@ class MonomialGateMatrix:
 
     Stored sparsely: row r holds ``value_of_row[r]``, which may be zero, at the
     0-based column ``col_of_row[r]``; ``col_of_row`` must be a permutation.
-    Both are held as immutable copies of the caller's arrays (see
+    ``n`` is at most ``TENSOR_SIZE_CAP``, the size of the largest tensor's
+    gate. Both arrays are refused by their shape before they are converted,
+    and are held as immutable copies of the caller's arrays (see
     :func:`braidgate.tensorops._hold`).
     """
 
@@ -73,13 +75,21 @@ class MonomialGateMatrix:
 
     def __post_init__(self):
         n = _as_int(self.n, "n")
+        _check_entries(n, "gate of size {}", n)
+
+        def check(shape):
+            if n < 1 or shape != (n,):
+                raise InputError("column and value arrays must both have length n >= 1")
+
         cols = self.col_of_row
+        if isinstance(cols, np.ndarray):
+            check(cols.shape)
         if not (isinstance(cols, np.ndarray) and cols.dtype.kind in "iu"):
-            cols = np.array(_as_ints(cols, "col_of_row"))
+            # -1 for a column out of range, which int64 may not hold
+            cols = np.array([c if 0 <= c < n else -1 for c in _as_ints(cols, "col_of_row")])
+            check(cols.shape)
         cols = cols.astype(np.int64, copy=False)
-        vals = _as_array(self.value_of_row, "value_of_row")
-        if n < 1 or cols.shape != (n,) or vals.shape != (n,):
-            raise InputError("column and value arrays must both have length n >= 1")
+        vals = _as_array(self.value_of_row, "value_of_row", check=check)
         if not np.array_equal(np.sort(cols), np.arange(n)):
             raise InputError("col_of_row is not a permutation of 0..n-1")
         # views, so that _hold copies the caller's arrays
@@ -102,7 +112,7 @@ class MonomialGateMatrix:
     def dense(self) -> np.ndarray:
         """R as a dense matrix; an ``n * n`` above ``TENSOR_SIZE_CAP`` is a
         :class:`ResourceLimitError`, refused before anything is allocated."""
-        _check_entries(self.n * self.n, f"dense gate of size {self.n}x{self.n}")
+        _check_entries(self.n * self.n, "dense gate of size {0}x{0}", self.n)
         out = np.zeros((self.n, self.n), dtype=np.complex128)
         out[np.arange(self.n), self.col_of_row] = self.value_of_row
         return out
@@ -165,7 +175,7 @@ def pattern_permutation(n: int) -> MonomialGateMatrix:
     n = _as_int(n, "n")
     if n < 2:
         raise InputError("pattern permutation needs n >= 2")
-    _check_entries(n, f"pattern permutation of size {n}")
+    _check_entries(n, "pattern permutation of size {}", n)
     return _trusted(MonomialGateMatrix, n=n, col_of_row=_entangler_pattern(n),
                     value_of_row=np.ones(n, dtype=np.complex128))
 

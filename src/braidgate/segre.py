@@ -440,7 +440,7 @@ def segre_map(factors) -> CoefficientTensor:
         if not np.any(v):
             raise InputError(f"factor {pos} is {'zero' if v.size else 'empty'}; not a projective point")
     dims = tuple(v.size for v in vecs)
-    _check_entries(math.prod(dims), f"tensor of dims {dims}")
+    _check_entries(math.prod(dims), "tensor of dims {}", dims)
     if len(vecs) > _MAX_AXES:
         raise InputError(f"{len(vecs)} factors exceed numpy's {_MAX_AXES} axes")
     with np.errstate(over="ignore", invalid="ignore"):

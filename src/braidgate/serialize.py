@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -17,9 +18,18 @@ import numpy as np
 
 from .braid import BraidRelationReport, YbeReport
 from .entangler import MonomialGateMatrix
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .segre import QuadricGenerator, SeparabilityVerdict
-from .tensorops import CoefficientTensor, StateVector, _as_array
+from .tensorops import TENSOR_SIZE_CAP, CoefficientTensor, StateVector, _as_array
+
+# The most bytes emit_json writes for one [re, im] entry is 97: a float's
+# repr takes at most 24 characters (-2.2250738585072014e-308), an entry of a
+# matrix row takes 36 more for its indentation, brackets, commas and newlines,
+# and a row of one entry adds 13 for the row's own brackets (a tensor's or a
+# state's entry takes at most 28 + 48 = 76). So every tensor, state or matrix
+# file written for at most TENSOR_SIZE_CAP entries has at most this many
+# bytes, and a larger input file is refused before json.load parses it.
+INPUT_BYTES_CAP = 97 * TENSOR_SIZE_CAP
 
 
 def _complex_list(values: np.ndarray) -> list:
@@ -132,7 +142,13 @@ def relations_to_payload(report: BraidRelationReport) -> dict:
 
 
 def load_json(path: str):
+    """A JSON input file, parsed; one over ``INPUT_BYTES_CAP`` bytes is a
+    :class:`ResourceLimitError`, refused before it is read."""
     with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > INPUT_BYTES_CAP:
+            raise ResourceLimitError(f"input file of {size} bytes exceeds cap "
+                                     f"{INPUT_BYTES_CAP} bytes")
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad syntax, UTF-8, depth or integer

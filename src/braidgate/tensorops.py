@@ -75,22 +75,37 @@ def _as_dims(dims) -> tuple[int, ...]:
     return out
 
 
-def _check_entries(count: int, what: str) -> None:
-    """Refuse ``what``, an array of ``count`` entries, over ``TENSOR_SIZE_CAP``
-    entries with :class:`ResourceLimitError`, before anything is allocated.
-    Every refusal sized in entries is this one."""
+def _check_entries(count: int, what: str, *args) -> None:
+    """Refuse ``what.format(*args)``, an array of ``count`` entries, over
+    ``TENSOR_SIZE_CAP`` entries with :class:`ResourceLimitError`, before
+    anything is allocated; the message is formatted only then. Every refusal
+    sized in entries is this one."""
     if count > TENSOR_SIZE_CAP:
-        raise ResourceLimitError(f"{what} exceeds cap {TENSOR_SIZE_CAP} entries")
+        raise ResourceLimitError(f"{what.format(*args)} exceeds cap {TENSOR_SIZE_CAP} entries")
 
 
-def _as_array(value, name: str, ndim: int | None = None) -> np.ndarray:
-    """A caller's array as a finite C-ordered complex128 array of ``ndim`` axes, else InputError."""
+def _to_complex(value, name: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=np.complex128, order="C")
+        return np.asarray(value, dtype=np.complex128, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be an array of numbers") from exc
+
+
+def _as_array(value, name: str, ndim: int | None = None, check=None) -> np.ndarray:
+    """A caller's array as a finite C-ordered complex128 array, else
+    :class:`InputError`. Its shape is checked before it is copied: the
+    number of axes against ``ndim``, then ``check(shape)``, which raises on a
+    shape the caller refuses, then ``TENSOR_SIZE_CAP`` entries. A value that
+    is not an ndarray, such as a nested list, is already the caller's
+    memory: it is converted first, then checked the same way, and so is
+    still converted once."""
+    arr = value if isinstance(value, np.ndarray) else _to_complex(value, name)
     if ndim is not None and arr.ndim != ndim:
         raise InputError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional, got {arr.shape}")
+    if check is not None:
+        check(arr.shape)
+    _check_entries(arr.size, "{} of shape {}", name, arr.shape)
+    arr = _to_complex(arr, name)
     if not np.isfinite(arr).all():
         raise InputError(f"{name} entries contain non-finite values")
     return arr
@@ -244,8 +259,9 @@ class CoefficientTensor:
     """An m-way complex coefficient array stored flat in lex order.
 
     ``entries[lex_index(k, dims) - 1]`` is the coefficient at multi-index
-    ``k``. Entries must be finite; they are held as an immutable copy of the
-    caller's array (see :func:`_hold`), which no caller can make writeable.
+    ``k``. Entries must be finite, at most ``TENSOR_SIZE_CAP`` of them; they
+    are held as an immutable copy of the caller's array (see :func:`_hold`),
+    which no caller can make writeable.
 
     The entries cannot change, so :mod:`braidgate.segre` remembers the scan
     of a tensor's first separability verdict, apart from the tensor, while
@@ -299,7 +315,7 @@ def random_phases(dims, seed: int) -> CoefficientTensor:
     if seed < 0:
         raise InputError("seed must be a non-negative integer")
     dims = _as_dims(dims)
-    _check_entries(math.prod(dims), f"tensor of dims {dims}")
+    _check_entries(math.prod(dims), "tensor of dims {}", dims)
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, math.prod(dims))
     return _trusted(CoefficientTensor, dims=dims, entries=np.exp(1j * theta))
 
@@ -329,7 +345,7 @@ def kron(a, b) -> np.ndarray:
     b = _as_array(b, "right factor", 2)
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    _check_entries(rows * cols, f"kron result {rows}x{cols}")
+    _check_entries(rows * cols, "kron result {}x{}", rows, cols)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.kron(a, b)
     if not np.isfinite(out).all():
@@ -337,19 +353,19 @@ def kron(a, b) -> np.ndarray:
     return out
 
 
+def _check_square(shape: tuple[int, int]) -> None:
+    if shape[0] != shape[1] or not shape[0]:
+        raise InputError(f"unitarity check needs a nonempty square matrix, got {shape}")
+
+
 def is_unitary(a, tol: float = 1e-12) -> tuple[bool, float]:
     """Whether ``a`` is unitary within ``tol``; returns (flag, residual).
 
     The residual is the max-abs entry of ``a^H a - I``; overflow there is an
     input error. An ``n * n`` above ``TENSOR_SIZE_CAP`` is a
-    :class:`ResourceLimitError`, refused before an array input is copied;
-    any other input is converted once.
+    :class:`ResourceLimitError`, refused before an array input is copied.
     """
-    m = a if isinstance(a, np.ndarray) and a.ndim == 2 else _as_array(a, "matrix", 2)
-    if m.shape[0] != m.shape[1] or not m.size:
-        raise InputError(f"unitarity check needs a nonempty square matrix, got {m.shape}")
-    _check_entries(m.size, f"unitarity check of size {m.shape[0]}x{m.shape[1]}")
-    a = _as_array(a, "matrix") if m is a else m
+    a = _as_array(a, "matrix", 2, _check_square)
     tol = _as_tol(tol)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))

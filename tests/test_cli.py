@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 import braidgate
 import braidgate.cli as cli_module
 import braidgate.entangler as entangler_module
+import braidgate.serialize as serialize_module
 from braidgate import (
     CoefficientTensor,
+    StateVector,
     is_fully_separable,
     pattern_permutation,
     phase_gate,
@@ -28,15 +30,17 @@ from braidgate import (
 )
 from braidgate.cli import main
 from braidgate.serialize import (
+    INPUT_BYTES_CAP,
     emit_json,
     matrix_from_payload,
     matrix_to_payload,
     monomial_to_payload,
+    state_to_payload,
     tensor_from_payload,
     tensor_to_payload,
     verdict_to_payload,
 )
-from braidgate.tensorops import _tables
+from braidgate.tensorops import TENSOR_SIZE_CAP, _tables
 
 BELL_PAYLOAD = {"dims": [2, 2], "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
 # (1,1,2) (x) (1,1,1) as a flat lex-ordered tensor
@@ -504,6 +508,68 @@ def test_malformed_files_exit_two(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert run_cli(capsys, command, "--input", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_input_files_over_the_byte_cap_are_refused_before_parsing(tmp_path, capsys):
+    # json.load held about 144 bytes per entry of any file it was given
+    path = tmp_path / "past.json"
+    with open(path, "wb") as fh:
+        fh.truncate(INPUT_BYTES_CAP + 1)  # sparse: no data is written
+    message = f"error: input file of {INPUT_BYTES_CAP + 1} bytes exceeds cap {INPUT_BYTES_CAP} bytes\n"
+    for command in ("construct", "entangle", "separability", "ybe", "braid"):
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, command, "--input", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", message) and peak < 2**20, command
+
+
+def test_an_input_file_at_the_byte_cap_is_parsed(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "t.json", BELL_PAYLOAD)
+    size = os.path.getsize(path)
+    monkeypatch.setattr(serialize_module, "INPUT_BYTES_CAP", size)
+    assert run_cli(capsys, "entangle", "--input", path)[0] == 0
+    monkeypatch.setattr(serialize_module, "INPUT_BYTES_CAP", size - 1)
+    assert run_cli(capsys, "entangle", "--input", path) == (
+        2, "", f"error: input file of {size} bytes exceeds cap {size - 1} bytes\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_a_float_is_written_in_at_most_24_characters(x):
+    # the per-entry byte budget counts two of them
+    assert len(json.dumps(x)) <= 24
+
+
+def emitted_bytes(payload, capsys) -> int:
+    emit_json(payload)
+    return len(capsys.readouterr().out.encode())
+
+
+# a file of emit_json's for n entries, each entry 0.0 + 0.0j (the densest) or
+# two floats of 24 characters (the loosest); a matrix of one column spends
+# the most on brackets per entry
+PAYLOADS = {
+    "tensor": lambda n, v: tensor_to_payload(CoefficientTensor((n,), np.full(n, v))),
+    "state": lambda n, v: state_to_payload(StateVector((n,), np.full(n, v))),
+    "matrix row": lambda n, v: matrix_to_payload(np.full((1, n), v)),
+    "matrix column": lambda n, v: matrix_to_payload(np.full((n, 1), v)),
+}
+LOOSEST = complex(-2.2250738585072014e-308, -2.2250738585072014e-308)
+
+
+@pytest.mark.parametrize("value", [0j, LOOSEST], ids=["densest", "loosest"])
+@pytest.mark.parametrize("kind", list(PAYLOADS))
+def test_every_written_entry_fits_the_input_byte_budget(capsys, kind, value):
+    budget = INPUT_BYTES_CAP // TENSOR_SIZE_CAP
+    one, two, three = (emitted_bytes(PAYLOADS[kind](n, value), capsys) for n in (1, 2, 3))
+    assert two - one == three - two <= budget
+    # so a file of TENSOR_SIZE_CAP such entries is within the cap
+    assert one + (TENSOR_SIZE_CAP - 1) * (two - one) <= INPUT_BYTES_CAP
+    if value == LOOSEST:
+        assert len(repr(value.real)) == 24
 
 
 def test_usage_errors_exit_two(capsys):

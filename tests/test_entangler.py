@@ -102,6 +102,36 @@ def test_monomial_type_operations():
     for n, cols, values in ((3, [0, 1], [1, 1, 1]), (2, [0, 1], [1, 1, 1]), (0, [], [])):
         with pytest.raises(InputError, match=message):
             MonomialGateMatrix(n, cols, values)
+    # a column out of int64's range raised a bare OverflowError, and one
+    # between 2**63 and 2**64 a RuntimeWarning from the cast
+    for big in (2**70, 2**63):
+        with pytest.raises(InputError, match="^col_of_row is not a permutation of 0..n-1$"):
+            MonomialGateMatrix(2, [big, 0], [1, 1])
+
+
+def test_gate_arguments_are_refused_by_their_shape_before_copying():
+    # int32 columns of 2**24 + 1 entries with n = 3 were converted before the
+    # length check (128 MiB), and n = 2**24 + 1 reached the permutation check
+    # (656 MiB)
+    past = (TENSOR_SIZE_CAP + 1,)
+    cols, vals = np.broadcast_to(np.int32(0), past), np.broadcast_to(np.complex128(1), past)
+    length = "^column and value arrays must both have length n >= 1$"
+    refusals = [
+        (lambda: MonomialGateMatrix(3, cols, vals), InputError, length),
+        (lambda: MonomialGateMatrix(3, np.broadcast_to(0.0, past), vals), InputError, length),
+        (lambda: MonomialGateMatrix(3, [0, 1, 2], vals), InputError, length),
+        (lambda: MonomialGateMatrix(TENSOR_SIZE_CAP + 1, cols, vals), ResourceLimitError,
+         "^gate of size 16777217 exceeds cap 16777216 entries$"),
+    ]
+    for call, error, message in refusals:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, message
 
 
 def test_pattern_permutation_matches_swap_pattern():

@@ -9,9 +9,14 @@ arguments of a package type through ``tensorops._check_type``.
 """
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 import braidgate.braid as braid_module
 import braidgate.cli as cli_module
@@ -24,7 +29,9 @@ from braidgate import (
     InputError,
     MonomialGateMatrix,
     QuadricGenerator,
+    ResourceLimitError,
     StateVector,
+    YbeReport,
     apply_entangler,
     certify_entangler,
     check_algebraic_yang_baxter,
@@ -46,6 +53,7 @@ from braidgate import (
     to_algebraic,
 )
 from braidgate.serialize import matrix_to_payload, tensor_to_payload
+from braidgate.tensorops import TENSOR_SIZE_CAP
 
 CHECKS = {
     "_as_tol": tensorops_module._as_tol,
@@ -62,7 +70,8 @@ LIBRARY_CALLS = {
     "r_from_phase_matrix": (lambda: r_from_phase_matrix(np.ones((2, 2))), [], 0, 1),
     "check_yang_baxter": (lambda: check_yang_baxter(R, 2, 1e-9), [1e-9], 1, 1),
     "check_algebraic_yang_baxter": (lambda: check_algebraic_yang_baxter(R, 2, 1e-9), [1e-9], 1, 1),
-    "to_algebraic": (lambda: to_algebraic(R, 2), [], 1, 0),
+    # R is refused by its shape as the 2-strand representation
+    "to_algebraic": (lambda: to_algebraic(R, 2), [], 1, 1),
     "evaluate_braid_word": (lambda: evaluate_braid_word(BraidWord(3, (1, -2)), R, 2), [], 1, 1),
     "check_braid_relations": (lambda: check_braid_relations(R, 2, 4, 1e-9), [1e-9], 1, 1),
     "is_fully_separable": (lambda: is_fully_separable(T, 1e-9), [1e-9], 0, 0),
@@ -301,6 +310,95 @@ def test_an_array_argument_is_converted_once(monkeypatch, call, kind):
     arg = np.eye(4) if kind == "ndarray" else np.eye(4).tolist()
     call(arg)
     assert len(seen) == 1 and seen[0] is arg
+
+
+# With TENSOR_SIZE_CAP at 2**12: wrong numbers of axes, non-square shapes,
+# the largest R (dim 4) and phase and unitary matrices (64 x 64) and tensors
+# (4096 entries) within the cap, and one past each. A zero-length axis hides
+# the axes after it from .tolist(), so no shape has one.
+SHAPES = [(4,), (16,), (4, 4, 1), (1, 4, 4), (2, 3), (16, 15), (9, 9), (15, 15), (16, 16),
+          (25, 25), (8, 8), (64, 64), (65, 65), (4096,), (4097,), (64, 64, 1)]
+SAME_ANSWER_CALLS = [is_unitary, r_from_phase_matrix, check_yang_baxter,
+                     CoefficientTensor.from_array]
+
+
+def answer(call, arg):
+    """The result's bits, or the refusal's type and message."""
+    try:
+        out = call(arg)
+    except (InputError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    if isinstance(out, CoefficientTensor):
+        return out.dims, out.entries.tobytes()
+    if isinstance(out, YbeReport):
+        return out.residual.hex(), out.passed
+    return out[0], out[1].hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SHAPES) | array_shapes(min_dims=1, max_dims=3, max_side=5),
+       st.sampled_from([np.int64, np.float64, np.complex128]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_a_list_and_an_ndarray_get_the_same_answer(shape, dtype, nan, seed):
+    # an ndarray is checked by its shape before it is converted, a list after;
+    # both see the same checks in the same order
+    arr = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    if nan and dtype is not np.int64:
+        arr.flat[0] = np.nan
+    with mock.patch.object(tensorops_module, "TENSOR_SIZE_CAP", 2**12):
+        for call in SAME_ANSWER_CALLS:
+            assert answer(call, arr) == answer(call, arr.tolist()), (call.__name__, shape)
+
+
+PAST = np.broadcast_to(np.complex128(0), (TENSOR_SIZE_CAP + 1,))
+TENSOR_PAST = r"^tensor of shape \(16777217,\) exceeds cap 16777216 entries$"
+NAN_ROW = [[np.nan, 0, 0]]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # arrays past the cap were copied (up to 512 MiB) and then accepted or
+    # refused by a later check
+    (lambda: CoefficientTensor.from_array(PAST), ResourceLimitError, TENSOR_PAST),
+    (lambda: CoefficientTensor(PAST.shape, PAST), ResourceLimitError, TENSOR_PAST),
+    (lambda: StateVector(PAST.shape, PAST), ResourceLimitError, TENSOR_PAST),
+    (lambda: segre_map([PAST]), ResourceLimitError,
+     r"^factor 1 of shape \(16777217,\) exceeds cap 16777216 entries$"),
+    (lambda: kron(np.broadcast_to(0j, (4097, 4097)), np.ones((1, 1))), ResourceLimitError,
+     r"^left factor of shape \(4097, 4097\) exceeds cap 16777216 entries$"),
+    (lambda: matrix_to_payload(np.broadcast_to(0j, (4097, 4097))), ResourceLimitError,
+     r"^matrix of shape \(4097, 4097\) exceeds cap 16777216 entries$"),
+    (lambda: to_algebraic(np.broadcast_to(0j, (4100, 4100))), InputError,
+     r"^matrix size 4100 is not dim\^2 for dim=64$"),
+    (lambda: to_algebraic(np.broadcast_to(0j, (4225, 4225))), ResourceLimitError,
+     r"^representation size 65\*\*2 exceeds cap 16777216 entries$"),
+    (lambda: check_yang_baxter(np.broadcast_to(0j, (4096, 4096))), ResourceLimitError,
+     r"^representation size 64\*\*3 exceeds cap 16777216 entries$"),
+    # the shape is checked before the entries, for a list as for an ndarray
+    (lambda: check_yang_baxter(NAN_ROW), InputError, r"^R must be square, got \(1, 3\)$"),
+    (lambda: is_unitary(NAN_ROW), InputError,
+     r"^unitarity check needs a nonempty square matrix, got \(1, 3\)$"),
+    (lambda: r_from_phase_matrix(NAN_ROW), InputError,
+     r"^phase matrix must be square and nonempty, got shape \(1, 3\)$"),
+    (lambda: MonomialGateMatrix(3, [0, 1, 2], NAN_ROW), InputError,
+     "^column and value arrays must both have length n >= 1$"),
+    # and, for an ndarray, before its entries are read as numbers
+    (lambda: segre_map([np.array([[1, "a"]], dtype=object)]), InputError,
+     r"^factor 1 must be one-dimensional, got \(1, 2\)$"),
+    # the strand count is read before R, which is refused with it
+    (lambda: check_braid_relations(np.zeros((4, 4, 1)), 2, "x"), InputError,
+     "^n_strands must be an integer, got 'x'$"),
+])
+def test_array_arguments_are_refused_by_their_shape_before_copying(call, error, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=message):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 GEN = QuadricGenerator(1, (1, 1), (2, 2), (2, 2))

@@ -13,6 +13,7 @@ from braidgate.segre import (
     MARGINAL_LOW,
     SCAN_CHUNK,
 )
+from braidgate.serialize import INPUT_BYTES_CAP
 from braidgate.tensorops import TABLE_CACHE_BYTES, TENSOR_SIZE_CAP
 
 README = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
@@ -34,6 +35,8 @@ STATED = {
         r"at most (\d+); and more than (\d+) strands \(the bit length of (\d+)\)",
         [ROWS, math.isqrt(ROWS), math.isqrt(ROWS), max(d for d in range(99) if d**6 <= ROWS**2),
          ROWS.bit_length(), ROWS]),
+    "INPUT_BYTES_CAP": (r"`INPUT_BYTES_CAP` = (\d+) MiB \((\d+) bytes for each of `(2\*\*\d+)` entries",
+                        [INPUT_BYTES_CAP / MIB, INPUT_BYTES_CAP / TENSOR_SIZE_CAP, TENSOR_SIZE_CAP]),
     "marginal band": (r"open band `\(([0-9.e+-]+), ([0-9.e+-]+)\)`", [MARGINAL_LOW, MARGINAL_HIGH]),
 }
 

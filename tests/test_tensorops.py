@@ -218,23 +218,30 @@ def test_is_unitary():
 
 def test_unitarity_checks_above_the_tensor_cap_are_refused_before_copying():
     # the check copied its input and formed the n x n product: 128 MiB at
-    # n = 2048, and 256 MiB more per copy at the cap
+    # n = 2048, and 256 MiB more per copy at the cap; an array of the wrong
+    # number of axes was copied before it was refused (64 MiB at (2048, 2048, 1))
     big = np.broadcast_to(np.complex128(0), (4097, 4097))
-    for call in (lambda: is_unitary(big), lambda: is_unitary(np.broadcast_to(1.0, (5000, 5000)))):
+    refusals = [
+        (lambda: is_unitary(big), ResourceLimitError,
+         r"^matrix of shape \(4097, 4097\) exceeds cap 16777216 entries$"),
+        (lambda: is_unitary(np.broadcast_to(1.0, (5000, 5000))), ResourceLimitError,
+         r"^matrix of shape \(5000, 5000\) exceeds cap 16777216 entries$"),
+        (lambda: is_unitary(np.broadcast_to(1.0, (2048, 2048, 1))), InputError,
+         r"^matrix must be two-dimensional, got \(2048, 2048, 1\)$"),
+        (lambda: is_unitary(np.broadcast_to(1.0, (4097, 4097, 1))), InputError,
+         r"^matrix must be two-dimensional, got \(4097, 4097, 1\)$"),
+        (lambda: is_unitary(np.broadcast_to(1.0, (4097, 4098))), InputError,
+         r"^unitarity check needs a nonempty square matrix, got \(4097, 4098\)$"),
+    ]
+    for call, error, message in refusals:
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match=r"^unitarity check of size \d+x\d+ "
-                                                         r"exceeds cap 16777216 entries$"):
+            with pytest.raises(error, match=message):
                 call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
-    # the shape is read before the cap; any other input is checked as before
-    with pytest.raises(InputError, match="^matrix must be two-dimensional"):
-        is_unitary(np.broadcast_to(1.0, (4097, 4097, 1)))
-    with pytest.raises(InputError, match="^unitarity check needs a nonempty square matrix"):
-        is_unitary(np.broadcast_to(1.0, (4097, 4098)))
+        assert peak < 2**20, message
     assert is_unitary([[0, 1], [1, 0]]) == (True, 0.0)
 
 
