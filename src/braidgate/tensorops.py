@@ -37,7 +37,9 @@ _MAX_AXES = 64
 
 # Bytes the cached structure (generator tables, Yang-Baxter walks and gate
 # patterns) may hold in all, array headers included. A generator table at
-# segre.GENERATOR_CAP takes 32 MiB, so the newest table is always kept.
+# segre.GENERATOR_CAP takes 32 MiB, in four index rows (two-row tables are
+# those of shapes of at most 256 entries, far below the cap), so the newest
+# table is always kept.
 TABLE_CACHE_BYTES = 64 * 2**20
 
 # Python and numpy take a bool as the number 0 or 1, but it is never a count,

@@ -34,6 +34,7 @@ from braidgate import (
     segre_map,
 )
 from braidgate.segre import _generator_at, _generator_table, _slot_sizes
+from test_generator_table import decoded_table
 
 # the shapes of the benchmark's gates workload
 GATE_SHAPES = [(2, 2), (3, 3), (4, 4), (6, 6), (2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5),
@@ -112,7 +113,7 @@ def test_paper_matrix_verdict_is_the_verdict_of_the_gate_values(dims, kind):
 def checked_generator(dims, i):
     """Generator i of the table, read with np.unravel_index and built by the
     checked constructor."""
-    ka, la, kp, _ = _generator_table(dims)
+    ka, la, kp, _ = decoded_table(dims)
     k, l, kpd = (tuple(int(x) + 1 for x in np.unravel_index(a[i], dims)) for a in (ka, la, kp))
     slot = next(p for p, (x, y) in enumerate(zip(k, kpd), start=1) if x != y)
     return QuadricGenerator(slot, k, l, dims)
@@ -120,7 +121,7 @@ def checked_generator(dims, i):
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 3, 3), (2,) * 5, (4, 4)], ids=str)
 def test_witnesses_equal_their_checked_builds(dims):
-    for i in range(_generator_table(dims)[0].size):
+    for i in range(_generator_table(dims).shape[1]):
         gen, ref = _generator_at(dims, i), checked_generator(dims, i)
         # repr also tells a numpy integer from an int
         assert gen == ref and repr(gen) == repr(ref)
@@ -142,7 +143,7 @@ def slot_boundaries(dims):
 def test_witness_slots_at_every_slot_boundary(dims):
     # the slot is read from kp - k against the place values; a slot of size
     # 1 shares its place value with the next and holds no generator
-    count = _generator_table(dims)[0].size
+    count = _generator_table(dims).shape[1]
     indices = slot_boundaries(dims) if count > 64 else range(count)
     slots = set()
     for i in indices:
@@ -155,7 +156,7 @@ def test_witness_slots_at_every_slot_boundary(dims):
 
 def test_quadric_generators_are_the_checked_builds():
     dims = (3, 3, 3)
-    expected = tuple(checked_generator(dims, i) for i in range(_generator_table(dims)[0].size))
+    expected = tuple(checked_generator(dims, i) for i in range(_generator_table(dims).shape[1]))
     got = quadric_generators(dims)
     assert got == expected and repr(got) == repr(expected)
     assert len(got) == 243

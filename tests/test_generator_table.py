@@ -1,5 +1,7 @@
-"""The separability generator table: its build, its build memory and its cache."""
+"""The separability generator table: its build in either layout, the scan
+over it, their memory, and the table cache."""
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -9,8 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidgate import ResourceLimitError
-from braidgate.segre import GENERATOR_CAP, _generator_count, _generator_table
+from braidgate import CoefficientTensor, ResourceLimitError
+from braidgate.segre import (
+    GENERATOR_CAP,
+    SCAN_CHUNK,
+    _PAIR_PRODUCT_CAP,
+    _generator_count,
+    _generator_table,
+    _nonzero_normalized,
+    _scan,
+)
 from braidgate.tensorops import TABLE_CACHE_BYTES, _tables
 
 # --- reference builder ----------------------------------------------------
@@ -53,13 +63,25 @@ def reference_generator_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def decoded_table(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The rows ``k, l, kp, lp`` of the generator table of ``dims``, read
+    from either layout: four rows as they are, two rows ``k*n + l, kp*n +
+    lp`` split by ``divmod``."""
+    table = _generator_table(dims)
+    if len(table) == 4:
+        return tuple(table)
+    n = math.prod(dims)
+    return (*np.divmod(table[0], n), *np.divmod(table[1], n))
+
+
 def assert_same_table(dims):
     table, want = _generator_table(dims), reference_generator_table(dims)
-    assert len(table) == 4
-    for arr, ref in zip(table, want):
+    assert table.dtype == np.intp and len(table) in (2, 4)
+    assert table.shape[1] == _generator_count(dims) and not table.flags.writeable
+    for arr, ref in zip(decoded_table(dims), want):
         assert arr.dtype == ref.dtype == np.intp
         assert arr.shape == ref.shape == (_generator_count(dims),)
-        assert not arr.flags.writeable and not ref.flags.writeable
+        assert not ref.flags.writeable
         assert np.array_equal(arr, ref)
 
 
@@ -83,6 +105,110 @@ def test_table_equals_reference_on_random_shapes(dims):
     dims = tuple(dims)
     assume(_generator_count(dims) <= GENERATOR_CAP)
     assert_same_table(dims)
+
+
+# the edges of the rule n * n <= min(2 * count, 2**16): two rows at 46,656 <=
+# 48,600 and at n = 256; four rows at 15,625 > 15,000, at 256 > 176 and at n = 343
+LAYOUT_EDGES = [((6, 6, 6), 2), ((4,) * 4, 2), ((5, 5, 5), 4), ((2, 2, 2, 2), 4), ((7, 7, 7), 4)]
+
+SIGNED_ZEROS = np.array([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                         complex(-0.0, -0.0)])
+
+
+def with_signed_zeros(entries: np.ndarray) -> np.ndarray:
+    """A copy of ``entries`` with every third from the second a zero, each
+    sign of zero in each part in turn."""
+    out = entries.copy()
+    out[1::3] = np.resize(SIGNED_ZEROS, out[1::3].size)
+    return out
+
+
+@pytest.mark.parametrize("dims, rows", LAYOUT_EDGES, ids=str)
+def test_layout_follows_the_pair_product_rule(dims, rows):
+    n, count = math.prod(dims), _generator_count(dims)
+    assert _PAIR_PRODUCT_CAP == 2**16
+    assert (n * n <= min(2 * count, 2**16)) == (rows == 2)
+    assert _generator_table(dims).shape == (rows, count)
+
+
+def test_outer_product_entries_are_the_gathered_products():
+    # the two-row scan reads e[k] * e[l] as entry k*n + l of the outer
+    # product, so numpy must round both alike, operands in the same order
+    rng = np.random.default_rng(30)
+    for n in (8, 81, 243, 256):
+        gauss = rng.normal(size=n) + 1j * rng.normal(size=n)
+        k, l = np.indices((n, n)).reshape(2, -1)
+        for e in (gauss, np.exp(2j * np.pi * rng.random(n)), with_signed_zeros(gauss),
+                  gauss * 2.0**-540, gauss * 2.0**500):
+            assert np.multiply.outer(e, e).reshape(-1).tobytes() == (e[k] * e[l]).tobytes()
+
+
+def four_gather_scan(t: CoefficientTensor) -> tuple[float, int]:
+    """(worst, best) of the direct four-gather kernel over the decoded
+    table, in one pass over every generator."""
+    e = _nonzero_normalized(t)
+    k, l, kp, lp = decoded_table(t.dims)
+    if not k.size:
+        return 0.0, 0
+    res = np.abs(e[k] * e[l] - e[kp] * e[lp])
+    best = int(res.argmax())
+    return float(res[best]), best
+
+
+@st.composite
+def scan_inputs(draw):
+    small = st.lists(st.integers(1, 4), min_size=2, max_size=6).map(tuple)
+    dims = draw(st.one_of(st.sampled_from([d for d, _ in LAYOUT_EDGES] + [(3,) * 5, (2,) * 8]),
+                          small.filter(lambda d: math.prod(d) <= 256)))
+    kind = draw(st.sampled_from(["ghz", "product", "near-product", "unimodular",
+                                 "signed-zero", "scaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = math.prod(dims)
+
+    def gauss(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    if kind == "ghz":
+        entries = np.zeros(dims, dtype=complex)
+        for i in range(min(dims)):
+            entries[(i,) * len(dims)] = 1.0
+    elif kind in ("product", "near-product"):
+        entries = functools.reduce(np.multiply.outer, [gauss(d) for d in dims])
+        if kind == "near-product":
+            entries = entries + 1e-8 * gauss(dims)
+    elif kind == "unimodular":
+        entries = np.exp(2j * np.pi * rng.random(n))
+    elif kind == "signed-zero":
+        entries = with_signed_zeros(gauss(n))
+    else:
+        entries = gauss(n) * 2.0 ** draw(st.sampled_from([-1060, -1030, -600, 600, 1000]))
+    return CoefficientTensor(dims, np.reshape(entries, -1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(scan_inputs())
+def test_scan_is_the_four_gather_scan_bit_for_bit(t):
+    worst, best = _scan(t)
+    want_worst, want_best = four_gather_scan(t)
+    assert (worst.hex(), best) == (want_worst.hex(), want_best)
+
+
+@pytest.mark.parametrize("dims", [(2,) * 8, (6, 6, 6), (2, 1400), (40, 40)], ids=str)
+def test_fresh_scan_peak(dims):
+    # chunk temporaries, the normalized entries and, on a two-row shape, the
+    # outer product of 16 * n * n bytes: 1 MiB at (2,)^8. Formed at (2, 1400)
+    # and (40, 40), it would take 119.8 and 39.3 MiB.
+    n = math.prod(dims)
+    rows = len(_generator_table(dims))
+    assert rows == (2 if n <= 256 else 4)
+    t = CoefficientTensor(dims, np.exp(2j * np.pi * np.random.default_rng(30).random(n)))
+    tracemalloc.start()
+    try:
+        _scan(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 16 * SCAN_CHUNK + 4 * 16 * n + (16 * n * n if rows == 2 else 0)
 
 
 @pytest.mark.parametrize("dims, bound", [

@@ -30,6 +30,7 @@ from braidgate.segre import (
     _nonzero_normalized,
 )
 from braidgate.tensorops import _tables
+from test_generator_table import decoded_table
 
 BELL = CoefficientTensor((2, 2), [1, 0, 0, 1])
 
@@ -458,7 +459,7 @@ def test_chunked_scan_matches_whole_table_scan():
     # one vectorized pass over the whole table is the reference: chunking
     # must not change a bit of the maximum or move the first argmax
     dims = (5, 5, 5)
-    ka, la, kp, lp = _generator_table(dims)
+    ka, la, kp, lp = decoded_table(dims)
     assert ka.size > SCAN_CHUNK
     gens = quadric_generators(dims)
     rng = np.random.default_rng(25)
